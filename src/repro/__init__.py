@@ -17,7 +17,6 @@ __version__ = "1.0.0"
 from repro.driver.params import SimulationParams
 from repro.driver.execution import ExecutionConfig, OptimizationFlags
 from repro.driver.driver import ParthenonDriver, RunResult
-from repro.core.characterize import characterize
 from repro.api import (
     RunSpec,
     Simulation,
@@ -37,6 +36,5 @@ __all__ = [
     "build_execution_config",
     "build_optimization_flags",
     "build_simulation_params",
-    "characterize",
     "__version__",
 ]

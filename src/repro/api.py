@@ -15,16 +15,13 @@ campaigns, benchmarks, examples — goes through this module:
   :func:`build_optimization_flags` are the validating builders — they
   reject typos in *both* option names and option values with an
   actionable error listing the valid choices, instead of failing deep in
-  the driver.
-
-Old entry points (``repro.core.characterize.characterize``) remain as
-thin shims that emit :class:`DeprecationWarning`.
+  the driver.  They, the deck format, the JSON wire schema and the
+  cache key all read one option table, :mod:`repro.options`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import hashlib
 import json
 import queue as queue_module
@@ -46,8 +43,17 @@ from repro.driver.driver import ParthenonDriver, RunResult
 from repro.driver.execution import ExecutionConfig, OptimizationFlags
 from repro.driver.input import parse_input, params_from_input, render_input
 from repro.driver.params import SimulationParams
-from repro.mesh.refinement import KNOWN_POLICIES
 from repro.observability import Trace, TraceRecorder
+from repro.options import (
+    NOT_IN_CACHE_KEY,
+    ConfigError,
+    build_execution_config,
+    build_optimization_flags,
+    build_simulation_params,
+    check_names,
+    outcome_config,
+    wire_fields,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.faults import FaultInjector
@@ -66,138 +72,7 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
-    """A run configuration that could never be valid (typo, bad choice)."""
-
-
-#: The string-choice axes and their valid values, shared by the builders
-#: and the CLI so every layer rejects the same typos the same way.
-VALID_CHOICES: Dict[str, Sequence[str]] = {
-    "backend": ("gpu", "cpu"),
-    "mode": ("modeled", "numeric"),
-    "kernel_mode": ("packed", "per_block"),
-    "kernel_backend": ("numpy", "numba", "cupy"),
-    "reconstruction": ("weno5", "plm"),
-    "riemann": ("hll", "llf"),
-    "refinement_policy": KNOWN_POLICIES,
-}
-
-
-def _suggest(given: str, valid: Sequence[str]) -> str:
-    close = difflib.get_close_matches(given, list(valid), n=1, cutoff=0.5)
-    return f" (did you mean {close[0]!r}?)" if close else ""
-
-
-def _check_choice(option: str, value: object) -> None:
-    valid = VALID_CHOICES[option]
-    if value not in valid:
-        raise ConfigError(
-            f"invalid {option} {value!r}; valid choices: "
-            f"{', '.join(valid)}{_suggest(str(value), valid)}"
-        )
-
-
-def _check_names(kind: str, given: Dict[str, object], valid: Sequence[str]) -> None:
-    for name in given:
-        if name not in valid:
-            raise ConfigError(
-                f"unknown {kind} option {name!r}; valid options: "
-                f"{', '.join(sorted(valid))}{_suggest(name, valid)}"
-            )
-
-
-def build_optimization_flags(**flags: bool) -> OptimizationFlags:
-    """Validating builder for :class:`OptimizationFlags`.
-
-    Accepts only the boolean toggles (the ``*_SPEEDUP`` calibration
-    constants are not settable here) and rejects misspelled flags with a
-    suggestion.
-    """
-    valid = [
-        f.name
-        for f in dataclasses.fields(OptimizationFlags)
-        if isinstance(f.default, bool)
-    ]
-    _check_names("optimization", flags, valid)
-    for name, value in flags.items():
-        if not isinstance(value, bool):
-            raise ConfigError(
-                f"optimization flag {name!r} must be a bool, got {value!r}"
-            )
-    return OptimizationFlags(**flags)
-
-
-def build_execution_config(
-    optimizations: Union[OptimizationFlags, Dict[str, bool], None] = None,
-    **options: object,
-) -> ExecutionConfig:
-    """Validating builder for :class:`ExecutionConfig`.
-
-    One funnel for every caller that assembles a platform configuration:
-    unknown option names and invalid choice values fail *here*, with the
-    valid choices spelled out, rather than deep inside the driver.
-    ``optimizations`` may be an :class:`OptimizationFlags` or a plain
-    dict of flag names (routed through :func:`build_optimization_flags`).
-    """
-    valid = [f.name for f in dataclasses.fields(ExecutionConfig)]
-    valid.remove("optimizations")
-    _check_names("execution", options, valid)
-    for option in ("backend", "mode", "kernel_mode", "kernel_backend"):
-        if option in options:
-            _check_choice(option, options[option])
-    if isinstance(optimizations, dict):
-        optimizations = build_optimization_flags(**optimizations)
-    elif optimizations is None:
-        optimizations = OptimizationFlags()
-    try:
-        return ExecutionConfig(optimizations=optimizations, **options)
-    except ValueError as exc:  # range errors from __post_init__
-        raise ConfigError(str(exc)) from exc
-
-
-def build_simulation_params(**options: object) -> SimulationParams:
-    """Validating builder for :class:`SimulationParams`."""
-    valid = [f.name for f in dataclasses.fields(SimulationParams)]
-    _check_names("simulation", options, valid)
-    for option in ("reconstruction", "riemann", "refinement_policy"):
-        if option in options:
-            _check_choice(option, options[option])
-    try:
-        params = SimulationParams(**options)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if params.refinement_policy == "block_budget" and params.block_budget < 1:
-        raise ConfigError(
-            "refinement_policy 'block_budget' needs block_budget >= 1 "
-            f"(got {params.block_budget})"
-        )
-    return params
-
-
 # --------------------------------------------------------------- RunSpec
-
-#: ExecutionConfig fields settable through the JSON wire schema
-#: (:meth:`RunSpec.from_json`).  Only primitive knobs travel over the
-#: wire; hardware specs, calibration constants and the optimization
-#: speedup constants stay server-side defaults.
-JSON_CONFIG_FIELDS: Sequence[str] = (
-    "backend",
-    "num_gpus",
-    "ranks_per_gpu",
-    "cpu_ranks",
-    "num_nodes",
-    "mode",
-    "kernel_mode",
-    "kernel_backend",
-    "checkpoint_every",
-    "num_shards",
-)
-
-#: SimulationParams fields settable through the JSON wire schema — all
-#: of them (every field is a primitive).
-JSON_PARAMS_FIELDS: Sequence[str] = tuple(
-    f.name for f in dataclasses.fields(SimulationParams)
-)
 
 #: Top-level keys of the RunSpec JSON document.
 JSON_SPEC_FIELDS: Sequence[str] = (
@@ -287,7 +162,8 @@ class RunSpec:
         common case is compact.
         """
         config = {
-            name: getattr(self.config, name) for name in JSON_CONFIG_FIELDS
+            name: getattr(self.config, name)
+            for name in wire_fields(ExecutionConfig)
         }
         flags = {
             f.name: getattr(self.config.optimizations, f.name)
@@ -322,7 +198,7 @@ class RunSpec:
             raise ConfigError(
                 f"RunSpec JSON must be an object, got {type(doc).__name__}"
             )
-        _check_names("RunSpec", doc, JSON_SPEC_FIELDS)
+        check_names("RunSpec", doc, JSON_SPEC_FIELDS)
         if "deck" in doc:
             if "params" in doc or "config" in doc:
                 raise ConfigError(
@@ -351,8 +227,8 @@ class RunSpec:
         optimizations = config_doc.pop("optimizations", None)
         if optimizations is not None and not isinstance(optimizations, dict):
             raise ConfigError("RunSpec 'config.optimizations' must be an object")
-        _check_names("execution", config_doc, JSON_CONFIG_FIELDS)
-        _check_names("simulation", params_doc, JSON_PARAMS_FIELDS)
+        check_names("execution", config_doc, wire_fields(ExecutionConfig))
+        check_names("simulation", params_doc, wire_fields(SimulationParams))
         params = build_simulation_params(**params_doc)
         config = build_execution_config(
             optimizations=optimizations, **config_doc
@@ -376,22 +252,21 @@ class RunSpec:
         OptimizationFlags, cycle counts, code version).
 
         Any field that changes the simulated outcome changes the key;
-        ``label`` does not participate, and neither does
-        ``checkpoint_every`` — checkpoint cadence is observability, not
-        physics (the bitwise-resume guarantee), so turning checkpoints on
-        never invalidates a cached artifact.  ``num_shards`` is excluded
-        for the same reason: sharded execution is 0-ULP identical to
-        serial (DESIGN §12), so the shard count is a how, not a what.
+        ``label`` does not participate, and neither do the option table's
+        ``cache_key=False`` rows: ``checkpoint_every`` (checkpoint cadence
+        is observability, not physics — the bitwise-resume guarantee) and
+        ``num_shards`` (sharded execution is 0-ULP identical to serial,
+        DESIGN §12, so the shard count is a how, not a what).
         """
-        outcome_config = replace(
-            self.config, checkpoint_every=0, num_shards=1
-        )
-        config_fields = dataclasses.asdict(outcome_config)
-        config_fields.pop("checkpoint_every", None)
-        config_fields.pop("num_shards", None)
+        outcome = outcome_config(self.config)
+        config_fields = {
+            name: value
+            for name, value in dataclasses.asdict(outcome).items()
+            if name not in NOT_IN_CACHE_KEY
+        }
         payload = {
             "code_version": __version__,
-            "deck": render_input(self.params, outcome_config),
+            "deck": render_input(self.params, outcome),
             "params": dataclasses.asdict(self.params),
             "config": config_fields,
             "ncycles": self.ncycles,
@@ -506,9 +381,8 @@ class Simulation:
                 f"checkpoint {self._restart_from} was written for different "
                 f"simulation parameters than this spec"
             )
-        if replace(payload["config"], checkpoint_every=0, num_shards=1) != replace(
-            self.spec.config, checkpoint_every=0, num_shards=1
-        ):
+        saved = outcome_config(payload["config"])
+        if saved != outcome_config(self.spec.config):
             raise RestartError(
                 f"checkpoint {self._restart_from} was written for a "
                 f"different execution config than this spec"

@@ -27,13 +27,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.api import (
-    ConfigError,
-    RunSpec,
-    Simulation,
-    build_execution_config,
-    build_simulation_params,
-)
+from repro.api import ConfigError, RunSpec, Simulation
 from repro.core.characterize import kernel_fraction
 from repro.driver.outputs import RestartError
 from repro.core.report import (
@@ -44,91 +38,70 @@ from repro.core.report import (
     render_table,
 )
 from repro.driver.input import render_input
-from repro.mesh.refinement import policy_names
+from repro.options import OPTION, OPTIONS, build
 
 
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mesh", type=int, default=128, help="cells per dimension")
-    p.add_argument("--block", type=int, default=16, help="MeshBlock size")
-    p.add_argument("--levels", type=int, default=3, help="#AMR levels")
-    p.add_argument("--ndim", type=int, default=3, choices=(1, 2, 3))
-    p.add_argument("--scalars", type=int, default=8, help="passive scalars")
+def _add_option_args(p: argparse.ArgumentParser, command: str) -> None:
+    """The option table's flags for ``command``.  ``run`` and ``trace``
+    take them as overrides of the deck, so they default to None."""
+    override = command in ("run", "trace")
+    for o in OPTIONS:
+        if command in o.commands:
+            help = o.help
+            if override:
+                help = f"override the deck's <{o.section}> {o.key}" + (
+                    f": {help}" if help else ""
+                )
+            p.add_argument(
+                o.flag,
+                type=None if o.type is str else o.type,
+                choices=o.choices or None,
+                default=None if override else o.default,
+                metavar=None if o.choices or o.type is not int else "N",
+                help=help,
+            )
+
+
+def _add_config_args(p: argparse.ArgumentParser, command: str) -> None:
+    _add_option_args(p, command)
     p.add_argument(
-        "--backend", choices=("gpu", "cpu"), default="gpu"
+        "--ranks", type=int, default=1, help="ranks per GPU / CPU ranks"
     )
-    p.add_argument("--gpus", type=int, default=1)
-    p.add_argument("--ranks", type=int, default=1, help="ranks per GPU / CPU ranks")
-    p.add_argument("--nodes", type=int, default=1)
     p.add_argument("--cycles", type=int, default=3)
     p.add_argument("--warmup", type=int, default=2)
-    p.add_argument(
-        "--mode", choices=("modeled", "numeric"), default="modeled",
-        help="cost-only synthetic run, or real PDE math (small configs)",
-    )
-    p.add_argument(
-        "--kernel-mode", choices=("packed", "per_block"), default="packed",
-        help="one fused launch per MeshBlockPack, or one per block "
-        "(the launch-overhead ablation)",
-    )
-    p.add_argument(
-        "--kernel-backend", choices=("numpy", "numba", "cupy"),
-        default="numpy",
-        help="engine for packed numeric kernels; unavailable backends "
-        "fall back to numpy with a one-time warning",
-    )
-    p.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="run numeric packed stages across N shared-memory worker "
-        "processes (bitwise-identical to serial; inert outside "
-        "numeric+packed)",
-    )
-    _add_policy_args(p)
 
 
-def _add_policy_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--refinement-policy", choices=policy_names(),
-        default="first_derivative",
-        help="named refinement policy from the repro.mesh.refinement "
-        "registry (default: the seed first_derivative criterion)",
-    )
-    p.add_argument(
-        "--block-budget", type=int, default=0, metavar="N",
-        help="leaf-count target for --refinement-policy block_budget "
-        "(required >= 1 for that policy; ignored otherwise)",
-    )
-
-
-def _build_config(args, **overrides):
-    options = dict(
-        backend=args.backend,
-        num_nodes=args.nodes,
-        mode=getattr(args, "mode", "modeled"),
-        kernel_mode=getattr(args, "kernel_mode", "packed"),
-        kernel_backend=getattr(args, "kernel_backend", "numpy"),
-        num_shards=getattr(args, "shards", 1),
-    )
+def _build(args, **overrides) -> tuple:
+    """``(params, config)`` from a subcommand's option flags."""
+    values = {
+        o.name: getattr(args, o.dest)
+        for o in OPTIONS
+        if args.command in o.commands
+    }
+    # --ranks means ranks per GPU or CPU ranks; a CPU run keeps the
+    # default GPU count whatever --gpus says.
     if args.backend == "gpu":
-        options.update(num_gpus=args.gpus, ranks_per_gpu=args.ranks)
+        values["ranks_per_gpu"] = args.ranks
     else:
-        options.update(cpu_ranks=args.ranks)
-    options.update(overrides)
-    return build_execution_config(**options)
+        values["cpu_ranks"] = args.ranks
+        del values["num_gpus"]
+    values.update(overrides)
+    return build(values)
 
 
-def _build(args) -> tuple:
-    params = build_simulation_params(
-        ndim=args.ndim,
-        mesh_size=args.mesh,
-        block_size=args.block,
-        num_levels=args.levels,
-        num_scalars=args.scalars,
-        refinement_policy=getattr(
-            args, "refinement_policy", "first_derivative"
-        ),
-        block_budget=getattr(args, "block_budget", 0),
-    )
-    return params, _build_config(args)
+def _override(spec: RunSpec, args) -> RunSpec:
+    """``spec`` with the option flags given on a ``run``/``trace`` line
+    replacing the deck's values, validated like the deck itself."""
+    changes = {
+        o.name: getattr(args, o.dest)
+        for o in OPTIONS
+        if args.command in o.commands and getattr(args, o.dest) is not None
+    }
+    if not changes:
+        return spec
+    values = {o.name: o.get(spec.params, spec.config) for o in OPTIONS}
+    params, config = build(dict(values, **changes))
+    return spec.replace(params=params, config=config)
 
 
 def _spec(args) -> RunSpec:
@@ -165,38 +138,8 @@ def _print_result(result) -> None:
 
 
 def cmd_run(args) -> int:
-    import dataclasses
-
     spec = RunSpec.from_file(args.input, ncycles=args.cycles, warmup=args.warmup)
-    if args.checkpoint_every is not None:
-        try:
-            spec = spec.replace(
-                config=dataclasses.replace(
-                    spec.config, checkpoint_every=args.checkpoint_every
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    if args.shards is not None:
-        try:
-            spec = spec.replace(
-                config=dataclasses.replace(
-                    spec.config, num_shards=args.shards
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    if args.refinement_policy is not None or args.block_budget is not None:
-        changes = {}
-        if args.refinement_policy is not None:
-            changes["refinement_policy"] = args.refinement_policy
-        if args.block_budget is not None:
-            changes["block_budget"] = args.block_budget
-        merged = dataclasses.asdict(spec.params)
-        merged.update(changes)
-        # Route through the validating builder so a budget-less
-        # block_budget override fails here, not deep in the driver.
-        spec = spec.replace(params=build_simulation_params(**merged))
+    spec = _override(spec, args)
     checkpoint_dir = args.checkpoint_dir
     if checkpoint_dir is None and spec.config.checkpoint_every > 0:
         checkpoint_dir = "checkpoints"
@@ -241,7 +184,6 @@ def cmd_characterize(args) -> int:
 
 def cmd_trace(args) -> int:
     """Export a run's span tree, or diff two canonical trace files."""
-    import dataclasses
     import json
 
     from repro.observability import (
@@ -281,24 +223,7 @@ def cmd_trace(args) -> int:
         overrides["ncycles"] = args.cycles
     if args.warmup is not None:
         overrides["warmup"] = args.warmup
-    spec = RunSpec.from_file(args.input, **overrides)
-    if args.kernel_mode:
-        spec = spec.replace(
-            config=dataclasses.replace(spec.config, kernel_mode=args.kernel_mode)
-        )
-    if args.kernel_backend:
-        spec = spec.replace(
-            config=dataclasses.replace(
-                spec.config, kernel_backend=args.kernel_backend
-            )
-        )
-    if args.shards is not None:
-        try:
-            spec = spec.replace(
-                config=dataclasses.replace(spec.config, num_shards=args.shards)
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+    spec = _override(RunSpec.from_file(args.input, **overrides), args)
     sim = Simulation(spec, trace=True)
     sim.run()
     trace = sim.trace()
@@ -445,10 +370,12 @@ MINI_CAMPAIGN = dict(
 #: wavefront's natural block population, so the summary exposes the
 #: FOM / block-count / ghost-traffic / remesh-cost tradeoff per policy.
 POLICY_CAMPAIGN = dict(
-    mesh=64, block=8, levels=2, ndim=3, scalars=8,
+    mesh=[64], block=[8], levels=2, ndim=3, scalars=8,
     policies=["first_derivative"], budgets=[640, 1024, 1536],
     cycles=6, warmup=1,
 )
+
+CAMPAIGN_PRESETS = {"mini": MINI_CAMPAIGN, "policies": POLICY_CAMPAIGN}
 
 
 def cmd_campaign(args) -> int:
@@ -460,51 +387,24 @@ def cmd_campaign(args) -> int:
         print(render_campaign_summary(artifacts))
         return 0
 
+    if args.preset:  # preset values replace the flags they name
+        vars(args).update(CAMPAIGN_PRESETS[args.preset])
+    params, config = _build(
+        args, mesh_size=args.mesh[0], block_size=args.block[0]
+    )
     if args.preset == "policies":
-        preset = POLICY_CAMPAIGN
-        params = build_simulation_params(
-            ndim=preset["ndim"],
-            mesh_size=preset["mesh"],
-            block_size=preset["block"],
-            num_levels=preset["levels"],
-            num_scalars=preset["scalars"],
-        )
         specs = policy_specs(
             params,
-            _build_config(args),
-            policies=preset["policies"],
-            budgets=preset["budgets"],
-            ncycles=preset["cycles"],
-            warmup=preset["warmup"],
+            config,
+            policies=args.policies,
+            budgets=args.budgets,
+            ncycles=args.cycles,
+            warmup=args.warmup,
         )
-    elif args.preset == "mini":
-        preset = MINI_CAMPAIGN
-        mesh_sizes, block_sizes = preset["mesh"], preset["block"]
-        params = build_simulation_params(
-            ndim=preset["ndim"],
-            mesh_size=mesh_sizes[0],
-            block_size=block_sizes[0],
-            num_levels=preset["levels"],
-            num_scalars=preset["scalars"],
-        )
-        config = _build_config(args)
-        ncycles, warmup = preset["cycles"], preset["warmup"]
     else:
-        mesh_sizes, block_sizes = args.mesh, args.block
-        params = build_simulation_params(
-            ndim=args.ndim,
-            mesh_size=mesh_sizes[0],
-            block_size=block_sizes[0],
-            num_levels=args.levels,
-            num_scalars=args.scalars,
-        )
-        config = _build_config(args)
-        ncycles, warmup = args.cycles, args.warmup
-
-    if args.preset != "policies":
         specs = grid_specs(
-            params, config, mesh_sizes, block_sizes,
-            ncycles=ncycles, warmup=warmup,
+            params, config, args.mesh, args.block,
+            ncycles=args.cycles, warmup=args.warmup,
         )
 
     def progress(outcome) -> None:
@@ -544,28 +444,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument("input", help="path to the input deck")
     p_run.add_argument("--cycles", type=int, default=5)
     p_run.add_argument("--warmup", type=int, default=0)
-    p_run.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
-        help="write a crash-consistent checkpoint every N cycles "
-        "(overrides the deck's <checkpoint> section; 0 disables)",
-    )
+    _add_option_args(p_run, "run")
     p_run.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="checkpoint directory (default: ./checkpoints when enabled)",
-    )
-    p_run.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="override the deck's num_shards: run the numeric packed "
-        "stages across N shared-memory worker processes (bitwise "
-        "identical to serial; 1 = in-process)",
-    )
-    p_run.add_argument(
-        "--refinement-policy", choices=policy_names(), default=None,
-        help="override the deck's <refinement> policy",
-    )
-    p_run.add_argument(
-        "--block-budget", type=int, default=None, metavar="N",
-        help="override the deck's <refinement> block_budget target",
     )
     p_run.add_argument(
         "--restart-from", default=None, metavar="PATH",
@@ -578,14 +460,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_char = sub.add_parser(
         "characterize", help="run one configuration and print its report"
     )
-    _add_config_args(p_char)
+    _add_config_args(p_char, "characterize")
     p_char.add_argument(
         "--trace", help="write a chrome://tracing timeline JSON here"
     )
     p_char.set_defaults(fn=cmd_characterize)
 
     p_deck = sub.add_parser("deck", help="emit an input deck for a config")
-    _add_config_args(p_deck)
+    _add_config_args(p_deck, "deck")
     p_deck.set_defaults(fn=cmd_deck)
 
     p_trace = sub.add_parser(
@@ -608,19 +490,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_trace.add_argument("--cycles", type=int, default=None)
     p_trace.add_argument("--warmup", type=int, default=None)
-    p_trace.add_argument(
-        "--kernel-mode", choices=("packed", "per_block"), default=None,
-        help="override the deck's kernel mode",
-    )
-    p_trace.add_argument(
-        "--kernel-backend", choices=("numpy", "numba", "cupy"), default=None,
-        help="override the deck's kernel backend",
-    )
-    p_trace.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="override the deck's num_shards (sharded traces differ from "
-        "serial only in meta.num_shards and the meta.shards section)",
-    )
+    _add_option_args(p_trace, "trace")
     p_trace.add_argument(
         "--diff", nargs=2, metavar=("A", "B"),
         help="compare two canonical trace JSON files; exit 1 if any "
@@ -636,7 +506,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sweep.add_argument(
         "axis", choices=("block", "mesh", "levels", "gpu-ranks", "cpu-ranks")
     )
-    _add_config_args(p_sweep)
+    _add_config_args(p_sweep, "sweep")
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_camp = sub.add_parser(
@@ -645,37 +515,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "failure isolation, resumable via the artifact cache",
     )
     p_camp.add_argument(
-        "--mesh", type=_int_list, default=[128],
+        "--mesh", type=_int_list, default=[OPTION["mesh_size"].default],
         help="comma-separated mesh sizes (the campaign's first axis)",
     )
     p_camp.add_argument(
-        "--block", type=_int_list, default=[16],
+        "--block", type=_int_list, default=[OPTION["block_size"].default],
         help="comma-separated MeshBlock sizes (the second axis)",
     )
-    p_camp.add_argument("--levels", type=int, default=3, help="#AMR levels")
-    p_camp.add_argument("--ndim", type=int, default=3, choices=(1, 2, 3))
-    p_camp.add_argument("--scalars", type=int, default=8, help="passive scalars")
-    p_camp.add_argument("--backend", choices=("gpu", "cpu"), default="gpu")
-    p_camp.add_argument("--gpus", type=int, default=1)
-    p_camp.add_argument(
-        "--ranks", type=int, default=1, help="ranks per GPU / CPU ranks"
-    )
-    p_camp.add_argument("--nodes", type=int, default=1)
-    p_camp.add_argument("--cycles", type=int, default=3)
-    p_camp.add_argument("--warmup", type=int, default=2)
-    p_camp.add_argument("--mode", choices=("modeled", "numeric"), default="modeled")
-    p_camp.add_argument(
-        "--kernel-mode", choices=("packed", "per_block"), default="packed"
-    )
-    p_camp.add_argument(
-        "--kernel-backend", choices=("numpy", "numba", "cupy"),
-        default="numpy",
-    )
-    p_camp.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="shared-memory shard workers per numeric packed point "
-        "(inert for modeled points)",
-    )
+    _add_config_args(p_camp, "campaign")
     p_camp.add_argument(
         "--dir", required=True, help="campaign directory (artifacts + cache)"
     )
@@ -703,7 +550,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "'policies' = the AMR-policy characterization sweep "
         "(threshold baseline vs. block-budget targets on one config)",
     )
-    _add_policy_args(p_camp)
     p_camp.add_argument(
         "--report-only", action="store_true",
         help="render the summary from existing artifacts without running",
@@ -713,7 +559,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_rec = sub.add_parser(
         "recommend", help="rank serial bottlenecks with §VIII advice"
     )
-    _add_config_args(p_rec)
+    _add_config_args(p_rec, "recommend")
     p_rec.set_defaults(fn=cmd_recommend)
 
     p_serve = sub.add_parser(

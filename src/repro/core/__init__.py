@@ -8,7 +8,6 @@ text rendering of every figure/table.
 """
 
 from repro.core.fom import zone_cycles, zone_cycles_per_second
-from repro.core.characterize import characterize
 from repro.core.memory_footprint import (
     aux_memory_bytes_per_block,
     aux_memory_post_optimization,
@@ -18,7 +17,6 @@ from repro.core.memory_footprint import (
 __all__ = [
     "zone_cycles",
     "zone_cycles_per_second",
-    "characterize",
     "aux_memory_bytes_per_block",
     "aux_memory_pre_optimization",
     "aux_memory_post_optimization",

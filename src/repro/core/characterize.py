@@ -1,8 +1,7 @@
-"""One-call characterization runs, and ratio helpers for the paper's text.
+"""Ratio helpers for the paper's text.
 
-The run entry point moved to :mod:`repro.api` (``Simulation`` /
-``RunSpec``); :func:`characterize` remains as a thin deprecated shim.
-The ratio helpers compute the derived quantities the paper's prose
+Runs go through :mod:`repro.api` (``Simulation`` / ``RunSpec``).  The
+helpers here compute the derived quantities the paper's prose
 quotes (communication-to-computation ratios, growth factors between
 configurations) and accept either an in-memory
 :class:`~repro.driver.driver.RunResult` or a campaign run-artifact dict
@@ -12,12 +11,9 @@ campaign directory without re-running anything.
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Union
 
 from repro.driver.driver import RunResult
-from repro.driver.execution import ExecutionConfig
-from repro.driver.params import SimulationParams
 
 ResultLike = Union[RunResult, Mapping]
 
@@ -46,33 +42,6 @@ def metric(result: ResultLike, attr: str):
             node = node[step]
         return node
     return getattr(result, attr)
-
-
-def characterize(
-    params: SimulationParams,
-    config: ExecutionConfig,
-    ncycles: int = 4,
-    warmup: int = 2,
-    initial_conditions: Optional[Callable] = None,
-) -> RunResult:
-    """Deprecated shim: use :class:`repro.api.Simulation` instead.
-
-    ``Simulation(RunSpec(params=..., config=..., ncycles=..., warmup=...))
-    .run()`` is the supported spelling; this wrapper survives only so
-    pre-campaign scripts keep working.
-    """
-    warnings.warn(
-        "repro.core.characterize.characterize() is deprecated; build a "
-        "repro.api.RunSpec and call repro.api.Simulation(spec).run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import RunSpec, Simulation
-
-    if ncycles < 1:
-        raise ValueError(f"ncycles must be >= 1, got {ncycles}")
-    spec = RunSpec(params=params, config=config, ncycles=ncycles, warmup=warmup)
-    return Simulation(spec, initial_conditions=initial_conditions).run()
 
 
 def comm_to_comp_ratio(result: ResultLike) -> float:

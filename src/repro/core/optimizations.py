@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List
 
-from repro.core.characterize import characterize
+from repro.api import RunSpec, Simulation
 from repro.driver.driver import RunResult
 from repro.driver.execution import ExecutionConfig, OptimizationFlags
 from repro.driver.params import SimulationParams
@@ -57,9 +57,12 @@ def run_ablations(
     results: Dict[str, RunResult] = {}
     for name in names:
         flags = ABLATIONS[name]
-        results[name] = characterize(
-            params, replace(config, optimizations=flags), ncycles
+        spec = RunSpec(
+            params=params,
+            config=replace(config, optimizations=flags),
+            ncycles=ncycles,
         )
+        results[name] = Simulation(spec).run()
     base = results["baseline"]
     rows = []
     for name in names:

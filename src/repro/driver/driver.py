@@ -69,6 +69,10 @@ from repro.solver.packs import MeshBlockPack, build_numeric_pack
 from repro.solver.state import Metadata
 
 
+class NumericalError(ArithmeticError):
+    """The numeric state went non-finite (NaN), so no time step exists."""
+
+
 @dataclass
 class RunResult:
     """Everything the characterization toolkit needs from one run."""
@@ -758,12 +762,18 @@ class ParthenonDriver:
         if not self.numeric:
             return 1.0
         if self.use_packed:
-            dt = float(np.min(self._packed.estimate_timestep(self._get_pack())))
+            dts = self._packed.estimate_timestep(self._get_pack())
         else:
-            dt = math.inf
-            for blk in self.mesh.block_list:
-                dt = min(dt, self.pkg.estimate_timestep(blk))
-        if not math.isfinite(dt):
+            dts = [self.pkg.estimate_timestep(b) for b in self.mesh.block_list]
+        dt = float(np.min(dts))  # propagates a NaN block's dt
+        if math.isnan(dt):
+            raise NumericalError(
+                f"cycle {self.cycle}: non-finite time step "
+                "(NaN velocity in the conserved state)"
+            )
+        if dt == math.inf:
+            # Every block's velocity is zero, so the CFL condition sets
+            # no limit: take a fixed step.
             dt = 1e-3
         return dt
 

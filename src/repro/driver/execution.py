@@ -102,6 +102,9 @@ class ExecutionConfig:
     num_shards: int = 1
 
     def __post_init__(self) -> None:
+        from repro.options import check_fields
+
+        check_fields(self)
         if self.checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
@@ -109,22 +112,6 @@ class ExecutionConfig:
         if self.num_shards < 1:
             raise ValueError(
                 f"num_shards must be >= 1, got {self.num_shards}"
-            )
-        if self.backend not in ("gpu", "cpu"):
-            raise ValueError(f"backend must be 'gpu' or 'cpu', got {self.backend!r}")
-        if self.mode not in ("modeled", "numeric"):
-            raise ValueError(f"mode must be 'modeled' or 'numeric', got {self.mode!r}")
-        if self.kernel_mode not in ("packed", "per_block"):
-            raise ValueError(
-                f"kernel_mode must be 'packed' or 'per_block', "
-                f"got {self.kernel_mode!r}"
-            )
-        from repro.kernels.backends.base import KNOWN_BACKENDS
-
-        if self.kernel_backend not in KNOWN_BACKENDS:
-            raise ValueError(
-                f"kernel_backend must be one of {', '.join(KNOWN_BACKENDS)}, "
-                f"got {self.kernel_backend!r}"
             )
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")

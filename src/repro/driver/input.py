@@ -24,7 +24,8 @@ Parthenon (and VIBE) configure runs from ini-like input files with
 
 This module parses that format into :class:`SimulationParams` and
 :class:`ExecutionConfig`, so runs are reproducible from a deck exactly like
-the original benchmark.
+the original benchmark.  Which key carries which option, and when it is
+written, comes from the option table in :mod:`repro.options`.
 """
 
 from __future__ import annotations
@@ -35,15 +36,23 @@ from typing import Dict, Tuple, Union
 
 from repro.driver.execution import ExecutionConfig
 from repro.driver.params import SimulationParams
-from repro.mesh.refinement import UnknownPolicyError, check_policy
+from repro.options import (
+    DECK_SECTIONS,
+    OPTION,
+    OPTIONAL_SECTIONS,
+    OPTIONS,
+    ConfigError,
+    build,
+    check,
+)
 
 _SECTION_RE = re.compile(r"^<([^>]+)>$")
 
 Value = Union[int, float, bool, str]
 
 
-class InputError(ValueError):
-    """Malformed input deck."""
+class InputError(ConfigError):
+    """Malformed or invalid input deck."""
 
 
 def _coerce(raw: str) -> Value:
@@ -87,68 +96,34 @@ def parse_input(text: str) -> Dict[str, Dict[str, Value]]:
     return sections
 
 
-def _get(sections, section, key, default=None):
-    return sections.get(section, {}).get(key, default)
-
-
 def params_from_input(text: str) -> Tuple[SimulationParams, ExecutionConfig]:
     """Build run configuration from a deck.
 
-    Unknown keys are ignored (like Parthenon, which lets packages read
-    their own sections); inconsistent meshes raise :class:`InputError` via
-    the underlying validation.
+    Every key of the option table is checked for type and choice like
+    the builders' arguments; other keys are ignored (like Parthenon,
+    which lets packages read their own sections).  Bad values and
+    inconsistent meshes raise :class:`InputError`.
     """
     s = parse_input(text)
-    nx1 = _get(s, "parthenon/mesh", "nx1", 128)
-    nx2 = _get(s, "parthenon/mesh", "nx2", nx1)
-    nx3 = _get(s, "parthenon/mesh", "nx3", nx1)
-    ndim = 3 if nx3 > 1 else (2 if nx2 > 1 else 1)
-    if ndim == 3 and not (nx1 == nx2 == nx3):
-        raise InputError(
-            "anisotropic meshes are not supported: "
-            f"nx1={nx1} nx2={nx2} nx3={nx3}"
-        )
-    block = _get(s, "parthenon/meshblock", "nx1", 16)
-    params = SimulationParams(
-        ndim=ndim,
-        mesh_size=nx1,
-        block_size=block,
-        num_levels=_get(s, "parthenon/mesh", "numlevel", 3),
-        num_scalars=_get(s, "burgers", "num_scalars", 8),
-        reconstruction=str(_get(s, "burgers", "recon", "weno5")),
-        riemann=str(_get(s, "burgers", "riemann", "hll")),
-        cfl=float(_get(s, "parthenon/time", "cfl", 0.4)),
-        refine_every=_get(s, "parthenon/mesh", "refine_every", 1),
-        derefine_gap=_get(s, "parthenon/mesh", "derefine_count", 10),
-        refine_tol=float(_get(s, "burgers", "refine_tol", 0.15)),
-        derefine_tol=float(_get(s, "burgers", "derefine_tol", 0.03)),
-        refinement_policy=str(
-            _get(s, "refinement", "policy", "first_derivative")
-        ),
-        block_budget=_get(s, "refinement", "block_budget", 0),
-    )
+    values = {
+        o.name: s[o.section][o.key]
+        for o in OPTIONS
+        if o.key in s.get(o.section, {})
+    }
+    mesh, size = s.get("parthenon/mesh", {}), OPTION["mesh_size"]
     try:
-        check_policy(params.refinement_policy)
-    except UnknownPolicyError as exc:
+        nx1 = check(size, mesh.get("nx1", size.default))
+        nx2 = check(size, mesh.get("nx2", nx1))
+        nx3 = check(size, mesh.get("nx3", nx1))
+        ndim = 3 if nx3 > 1 else (2 if nx2 > 1 else 1)
+        if ndim == 3 and not (nx1 == nx2 == nx3):
+            raise InputError(
+                "anisotropic meshes are not supported: "
+                f"nx1={nx1} nx2={nx2} nx3={nx3}"
+            )
+        return build(dict(values, ndim=ndim, mesh_size=nx1))
+    except ConfigError as exc:
         raise InputError(str(exc)) from exc
-    if params.refinement_policy == "block_budget" and params.block_budget < 1:
-        raise InputError(
-            "<refinement> policy = block_budget needs block_budget >= 1"
-        )
-    backend = str(_get(s, "platform", "backend", "gpu"))
-    config = ExecutionConfig(
-        backend=backend,
-        num_gpus=_get(s, "platform", "num_gpus", 1),
-        ranks_per_gpu=_get(s, "platform", "ranks_per_gpu", 1),
-        cpu_ranks=_get(s, "platform", "cpu_ranks", 96),
-        num_nodes=_get(s, "platform", "num_nodes", 1),
-        mode=str(_get(s, "platform", "mode", "modeled")),
-        kernel_mode=str(_get(s, "platform", "kernel_mode", "packed")),
-        kernel_backend=str(_get(s, "platform", "kernel_backend", "numpy")),
-        num_shards=_get(s, "platform", "num_shards", 1),
-        checkpoint_every=_get(s, "checkpoint", "every", 0),
-    )
-    return params, config
 
 
 def load_input(path: Union[str, Path]) -> Tuple[SimulationParams, ExecutionConfig]:
@@ -156,65 +131,30 @@ def load_input(path: Union[str, Path]) -> Tuple[SimulationParams, ExecutionConfi
     return params_from_input(Path(path).read_text())
 
 
+def _renders(option, value, config: ExecutionConfig) -> bool:
+    if option.render == "non_default":
+        return value != option.default
+    if option.render in OPTION["backend"].choices:
+        return config.backend == option.render
+    return True
+
+
 def render_input(params: SimulationParams, config: ExecutionConfig) -> str:
     """The inverse: write a deck reproducing this configuration."""
-    lines = [
-        "<parthenon/mesh>",
-        f"nx1 = {params.mesh_size}",
-        f"nx2 = {params.mesh_size if params.ndim >= 2 else 1}",
-        f"nx3 = {params.mesh_size if params.ndim >= 3 else 1}",
-        f"numlevel = {params.num_levels}",
-        f"refine_every = {params.refine_every}",
-        f"derefine_count = {params.derefine_gap}",
-        "",
-        "<parthenon/meshblock>",
-        f"nx1 = {params.block_size}",
-        "",
-        "<parthenon/time>",
-        f"cfl = {params.cfl}",
-        "",
-        "<burgers>",
-        f"num_scalars = {params.num_scalars}",
-        f"recon = {params.reconstruction}",
-        f"riemann = {params.riemann}",
-        f"refine_tol = {params.refine_tol}",
-        f"derefine_tol = {params.derefine_tol}",
-        "",
-        "<platform>",
-        f"backend = {config.backend}",
-        f"mode = {config.mode}",
-        f"kernel_mode = {config.kernel_mode}",
-        f"num_nodes = {config.num_nodes}",
-    ]
-    # Emitted only when non-default so pre-registry decks render
-    # byte-identically (same convention as the <checkpoint> section).
-    if config.kernel_backend != "numpy":
-        lines.insert(
-            lines.index(f"kernel_mode = {config.kernel_mode}") + 1,
-            f"kernel_backend = {config.kernel_backend}",
-        )
-    # Same non-default-only convention: serial decks are byte-identical
-    # to decks rendered before sharding existed.
-    if config.num_shards > 1:
-        lines.insert(
-            lines.index(f"kernel_mode = {config.kernel_mode}") + 1,
-            f"num_shards = {config.num_shards}",
-        )
-    if config.is_gpu:
-        lines += [
-            f"num_gpus = {config.num_gpus}",
-            f"ranks_per_gpu = {config.ranks_per_gpu}",
+    lines = []
+    for section in DECK_SECTIONS:
+        rows = [
+            (o, o.get(params, config)) for o in OPTIONS if o.section == section
         ]
-    else:
-        lines.append(f"cpu_ranks = {config.cpu_ranks}")
-    # Emitted only when non-default so decks predating the policy
-    # registry render byte-identically (same convention as <checkpoint>).
-    if params.refinement_policy != "first_derivative" or params.block_budget:
-        lines += ["", "<refinement>", f"policy = {params.refinement_policy}"]
-        if params.block_budget:
-            lines.append(f"block_budget = {params.block_budget}")
-    # Emitted only when enabled so decks without checkpointing render
-    # byte-identically to what they did before the section existed.
-    if config.checkpoint_every > 0:
-        lines += ["", "<checkpoint>", f"every = {config.checkpoint_every}"]
-    return "\n".join(lines) + "\n"
+        if section in OPTIONAL_SECTIONS and all(v == o.default for o, v in rows):
+            continue
+        body = [f"{o.key} = {v}" for o, v in rows if _renders(o, v, config)]
+        if section == "parthenon/mesh":
+            n = params.mesh_size
+            body = [
+                f"nx1 = {n}",
+                f"nx2 = {n if params.ndim >= 2 else 1}",
+                f"nx3 = {n if params.ndim >= 3 else 1}",
+            ] + body
+        lines += [f"<{section}>", *body, ""]
+    return "\n".join(lines[:-1]) + "\n"

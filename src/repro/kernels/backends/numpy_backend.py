@@ -181,7 +181,8 @@ class PackedBurgersKernels:
         )
 
     def estimate_timestep(self, pack) -> np.ndarray:
-        """Per-block ``cfl·dt`` (``inf`` where a block is quiescent).
+        """Per-block ``cfl·dt`` (``inf`` where a block is quiescent, NaN
+        where a velocity is NaN).
 
         The driver reduces this with ``min`` exactly as the per-block loop
         does; each entry reproduces ``BurgersPackage.estimate_timestep``
@@ -197,6 +198,7 @@ class PackedBurgersKernels:
             safe = np.where(vmax > 0.0, vmax, 1.0)
             cand = pack.dx_array(a) / safe
             cand[vmax <= 0.0] = np.inf
+            cand[np.isnan(vmax)] = np.nan
             np.minimum(dt, cand, out=dt)
         return self.pkg.config.cfl * dt
 

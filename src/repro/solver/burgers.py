@@ -150,11 +150,14 @@ class BurgersPackage:
         block.interior(DERIVED)[0] = 0.5 * q0 * ke
 
     def estimate_timestep(self, block: MeshBlock) -> float:
-        """CFL-limited timestep of one block (``EstimateTimestepMesh``)."""
+        """CFL-limited timestep of one block (``EstimateTimestepMesh``);
+        NaN when a velocity is NaN, ``inf`` when the block is at rest."""
         u = block.interior(CONSERVED)
         dt = np.inf
         for a in range(self.ndim):
             vmax = float(np.max(np.abs(u[a])))
+            if np.isnan(vmax):
+                return np.nan
             if vmax > 0.0:
                 dt = min(dt, block.dx(a) / vmax)
         return self.config.cfl * dt

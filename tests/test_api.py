@@ -15,7 +15,6 @@ from repro.api import (
     iter_progress,
     run,
 )
-from repro.core.characterize import characterize
 from repro.driver.execution import ExecutionConfig, OptimizationFlags
 from repro.driver.params import SimulationParams
 
@@ -196,14 +195,6 @@ class TestSimulationFacade:
         result = run(small_spec())
         assert result.mpi_counters["allreduce_calls"] > 0
         assert "remote_bytes" in result.mpi_counters
-
-
-class TestDeprecatedShim:
-    def test_characterize_warns_and_matches(self):
-        spec = small_spec()
-        with pytest.warns(DeprecationWarning, match="RunSpec"):
-            old = characterize(spec.params, spec.config, 2, 1)
-        assert old.fom == Simulation(spec).run().fom
 
 
 class TestJsonWire:

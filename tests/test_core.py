@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import RunSpec, Simulation
 from repro.core.characterize import (
-    characterize,
     comm_to_comp_ratio,
     growth_factor,
     kernel_fraction,
@@ -88,19 +88,21 @@ class TestMemoryFootprint:
 
 class TestCharacterize:
     def test_returns_result_with_metrics(self):
-        r = characterize(small_params(), GPU1R, ncycles=2, warmup=1)
+        r = Simulation(RunSpec(small_params(), GPU1R, 2, 1)).run()
         assert r.cycles == 2
         assert comm_to_comp_ratio(r) > 0
         assert 0 < kernel_fraction(r) < 1
 
     def test_growth_factor(self):
-        a = characterize(small_params(mesh_size=32), GPU1R, ncycles=2, warmup=0)
-        b = characterize(small_params(mesh_size=64), GPU1R, ncycles=2, warmup=0)
+        a, b = (
+            Simulation(RunSpec(small_params(mesh_size=m), GPU1R, 2, 0)).run()
+            for m in (32, 64)
+        )
         assert growth_factor(a, b, "cell_updates") > 1.5
 
     def test_rejects_bad_cycles(self):
         with pytest.raises(ValueError):
-            characterize(small_params(), GPU1R, ncycles=0)
+            RunSpec(small_params(), GPU1R, ncycles=0)
 
 
 class TestSweeps:
@@ -172,14 +174,14 @@ class TestMicroarch:
 class TestOpcodeAnalysis:
     def test_breakdown_matches_paper_findings(self):
         # A 3D configuration like the paper's Fig. 13 run (16 CPU ranks).
-        r = characterize(
+        r = Simulation(RunSpec(
             SimulationParams(
                 ndim=3, mesh_size=32, block_size=8, num_levels=2,
                 num_scalars=8,
             ),
             ExecutionConfig(backend="cpu", cpu_ranks=16),
             ncycles=2,
-        )
+        )).run()
         b = opcode_breakdown(r)
         assert b.kernel.fraction("vector") > 0.4
         ls = b.serial.fraction("load") + b.serial.fraction("store")
@@ -188,16 +190,16 @@ class TestOpcodeAnalysis:
         assert b.kernel_instruction_share > 0.7
 
     def test_vector_share_falls_with_block_size(self):
-        r32 = characterize(
+        r32 = Simulation(RunSpec(
             small_params(block_size=32, mesh_size=128),
             ExecutionConfig(backend="cpu", cpu_ranks=16),
             ncycles=2,
-        )
-        r16 = characterize(
+        )).run()
+        r16 = Simulation(RunSpec(
             small_params(block_size=16, mesh_size=128),
             ExecutionConfig(backend="cpu", cpu_ranks=16),
             ncycles=2,
-        )
+        )).run()
         assert (
             opcode_breakdown(r32).kernel.fraction("vector")
             > opcode_breakdown(r16).kernel.fraction("vector")
@@ -248,7 +250,7 @@ class TestReport:
         assert "OOM" in out
 
     def test_render_run_reports(self):
-        r = characterize(small_params(), GPU1R, ncycles=2)
+        r = Simulation(RunSpec(small_params(), GPU1R, ncycles=2)).run()
         assert "CalculateFluxes" in render_breakdown(r, "bd")
         assert "kokkos_mesh" in render_memory(r, "mem")
         d = ParthenonDriver(small_params(), GPU1R)

@@ -1,10 +1,12 @@
 """Tests for the instrumented Parthenon driver."""
 
+import numpy as np
 import pytest
 
-from repro.driver.driver import ParthenonDriver
+from repro.driver.driver import NumericalError, ParthenonDriver
 from repro.driver.execution import ExecutionConfig, OptimizationFlags
 from repro.driver.params import SimulationParams
+from repro.solver.burgers import CONSERVED
 from repro.solver.initial_conditions import gaussian_blob
 
 
@@ -207,6 +209,29 @@ class TestNumericMode:
         )
         d.run(2)
         assert d.mesh.num_blocks > 16  # the blob triggered refinement
+
+    @pytest.mark.parametrize("kernel_mode", ["packed", "per_block"])
+    def test_nan_velocity_raises_naming_the_cycle(self, kernel_mode):
+        def poisoned(mesh, pkg):
+            gaussian_blob(mesh, pkg)
+            # The last block: a running min over blocks must not drop it.
+            mesh.block_list[-1].interior(CONSERVED)[0, 0, 0, 0] = np.nan
+
+        d = ParthenonDriver(
+            small_params(mesh_size=32, block_size=8),
+            gpu_config(mode="numeric", kernel_mode=kernel_mode),
+            initial_conditions=poisoned,
+        )
+        with pytest.raises(NumericalError, match="cycle 0: non-finite"):
+            d.run(2)
+
+    @pytest.mark.parametrize("kernel_mode", ["packed", "per_block"])
+    def test_fluid_at_rest_takes_the_fixed_step(self, kernel_mode):
+        d = ParthenonDriver(
+            small_params(mesh_size=32, block_size=8),
+            gpu_config(mode="numeric", kernel_mode=kernel_mode),
+        )
+        assert d._current_dt() == 1e-3
 
 
 class TestOptimizations:

@@ -51,7 +51,7 @@ class TestSectionVFindings:
 
     def test_cpu_scales_across_nodes_better_than_gpu(self):
         """Section V: CPU two-node speedup exceeds the GPU's."""
-        from repro.core.characterize import characterize
+        from repro.api import RunSpec, Simulation
 
         p = SimulationParams(
             ndim=3, mesh_size=32, block_size=8, num_levels=2
@@ -71,14 +71,14 @@ class TestSectionVFindings:
                 ),
             ),
         ):
-            one = characterize(p, make(1), 3)
-            two = characterize(p, make(2), 3)
+            one = Simulation(RunSpec(p, make(1), 3)).run()
+            two = Simulation(RunSpec(p, make(2), 3)).run()
             speedups[name] = two.fom / one.fom
         assert speedups["CPU"] > speedups["GPU"]
 
     def test_block_size_drop_worse_on_gpu_two_nodes(self):
         """Section V: shrinking blocks costs GPUs far more than CPUs."""
-        from repro.core.characterize import characterize
+        from repro.api import RunSpec, Simulation
 
         drops = {}
         for name, config in (
@@ -93,14 +93,14 @@ class TestSectionVFindings:
                 ),
             ),
         ):
-            big = characterize(
+            big = Simulation(RunSpec(
                 SimulationParams(ndim=3, mesh_size=64, block_size=16, num_levels=2),
                 config, 2,
-            )
-            small = characterize(
+            )).run()
+            small = Simulation(RunSpec(
                 SimulationParams(ndim=3, mesh_size=64, block_size=8, num_levels=2),
                 config, 2,
-            )
+            )).run()
             drops[name] = big.fom / small.fom
         assert drops["GPU"] > drops["CPU"]
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.characterize import characterize
+from repro.api import RunSpec, Simulation
 from repro.core.recommendations import (
     analyze,
     max_rank_scaling_speedup,
@@ -21,7 +21,7 @@ def result():
         ndim=2, mesh_size=64, block_size=8, num_levels=3,
         num_scalars=1, wavefront_width=0.05, wavefront_speed=0.05,
     )
-    return characterize(params, GPU1R, ncycles=3, warmup=1)
+    return Simulation(RunSpec(params, GPU1R, ncycles=3, warmup=1)).run()
 
 
 class TestAnalyze:

@@ -7,7 +7,8 @@ refactors but tight enough to catch a broken cost model or workload change.
 
 import pytest
 
-from repro.core.characterize import characterize, kernel_fraction
+from repro.api import RunSpec, Simulation
+from repro.core.characterize import kernel_fraction
 from repro.driver.execution import ExecutionConfig
 from repro.driver.params import SimulationParams
 
@@ -21,9 +22,9 @@ def anchor():
     """The paper's anchor config at reduced mesh (tractable in tests)."""
     params = SimulationParams(ndim=3, mesh_size=64, block_size=8, num_levels=3)
     return {
-        "gpu1": characterize(params, GPU1, 2, 2),
-        "gpu12": characterize(params, GPU12, 2, 2),
-        "cpu96": characterize(params, CPU96, 2, 2),
+        "gpu1": Simulation(RunSpec(params, GPU1, 2, 2)).run(),
+        "gpu12": Simulation(RunSpec(params, GPU12, 2, 2)).run(),
+        "cpu96": Simulation(RunSpec(params, CPU96, 2, 2)).run(),
     }
 
 
@@ -66,8 +67,8 @@ class TestBlockSizePins:
         params = SimulationParams(
             ndim=3, mesh_size=64, block_size=32, num_levels=3
         )
-        gpu = characterize(params, GPU12, 2, 2)
-        cpu = characterize(params, CPU96, 2, 2)
+        gpu = Simulation(RunSpec(params, GPU12, 2, 2)).run()
+        cpu = Simulation(RunSpec(params, CPU96, 2, 2)).run()
         # Fig 1(b): GPU wins by roughly 2-4x at block 32.
         assert 1.3 < gpu.fom / cpu.fom < 6.0
 
@@ -82,8 +83,8 @@ def kernel_mode_pair():
     """The anchor config run packed vs per-block (the Fig. 1c ablation)."""
     params = SimulationParams(ndim=3, mesh_size=64, block_size=8, num_levels=3)
     return {
-        "packed": characterize(params, GPU1, 2, 2),
-        "per_block": characterize(params, GPU1_PER_BLOCK, 2, 2),
+        "packed": Simulation(RunSpec(params, GPU1, 2, 2)).run(),
+        "per_block": Simulation(RunSpec(params, GPU1_PER_BLOCK, 2, 2)).run(),
     }
 
 
