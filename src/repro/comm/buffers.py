@@ -18,8 +18,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from repro.mesh.logical_location import LogicalLocation
 
 Offset = Tuple[int, int, int]
@@ -112,49 +110,9 @@ class BufferCache:
 
     def mark_stale(self) -> int:
         """Mark every buffer stale after SetBounds consumed it (§II-D)."""
-        for key in self.stale:
-            self.stale[key] = True
+        # fromkeys over a dict reuses the stored hashes: no key is rehashed.
+        self.stale = dict.fromkeys(self.stale, True)
         return len(self.stale)
 
     def total_buffer_bytes(self) -> int:
         return sum(self.sizes.values())
-
-
-class GhostBufferPool:
-    """Shape-keyed free list of ghost-exchange pack buffers.
-
-    Parthenon keeps its communication buffers alive across cycles and only
-    reallocates on topology changes; the seed implementation instead called
-    ``np.ascontiguousarray`` per message per cycle.  The pool recycles
-    released buffers so steady-state exchanges allocate nothing — a message
-    slab's shape recurs every cycle until the mesh changes.
-    """
-
-    def __init__(self) -> None:
-        self._free: Dict[Tuple[int, ...], List[np.ndarray]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.released = 0
-
-    def acquire(self, shape: Tuple[int, ...]) -> np.ndarray:
-        """A contiguous buffer of ``shape`` — recycled when one is free."""
-        free = self._free.get(tuple(shape))
-        if free:
-            self.hits += 1
-            return free.pop()
-        self.misses += 1
-        return np.empty(shape)
-
-    def release(self, arr: np.ndarray) -> None:
-        """Return a buffer to the pool for reuse."""
-        self._free.setdefault(arr.shape, []).append(arr)
-        self.released += 1
-
-    def clear(self) -> None:
-        """Drop all pooled buffers (after a topology change)."""
-        self._free.clear()
-
-    @property
-    def pooled(self) -> int:
-        """Buffers currently sitting in the free lists."""
-        return sum(len(v) for v in self._free.values())

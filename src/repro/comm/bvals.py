@@ -9,46 +9,51 @@ times each one separately to regenerate Figs. 11/12):
    cache, and post sends (remote) or local copies.
 3. ``receive_bound_bufs`` — poll for arrivals (``MPI_Iprobe`` / ``MPI_Test``
    activity is recorded for the cost model).
-4. ``set_bounds`` — unpack into fine ghost zones or into the per-block
-   coarse buffers, restrict local fine data into the coarse buffers, then
-   prolongate coarse-neighbor regions into the fine ghosts.
+4. ``set_bounds`` — unpack into fine ghost zones or into the coarse store,
+   fill physical-boundary ghosts, restrict local fine data into the coarse
+   store, then prolongate coarse-neighbor regions into the fine ghosts.
+
+In numeric mode every :meth:`BoundaryExchange.rebuild` compiles an
+:class:`ExchangePlan`: messages, restrictions, prolongations and physical
+fills grouped by geometry, each group one fancy-indexed NumPy operation on
+``(nblocks, ncomp, x3, x2, x1)`` pack storage — the Python analogue of
+Parthenon packing every boundary buffer in one kernel from cached buffer
+metadata.
 
 Index conventions: all ranges are half-open cell-index intervals in the
 (x1, x2, x3) order of :class:`repro.mesh.block.IndexShape`; array slices are
-built in (comp, x3, x2, x1) order.
+built in (x3, x2, x1) order.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.buffers import (
-    BufferCache,
-    BufferKey,
-    CacheStats,
-    GhostBufferPool,
-)
+from repro.comm.buffers import BufferCache, BufferKey, CacheStats
 from repro.comm.mpi import SimMPI
 from repro.comm.topology import NeighborInfo, build_neighbor_table
-from repro.mesh.block import MeshBlock
 from repro.mesh.logical_location import LogicalLocation
 from repro.mesh.mesh import Mesh
 from repro.mesh.prolongation import prolong
 from repro.mesh.restriction import restrict
 from repro.mesh.tree import neighbor_offsets
+from repro.solver.packs import MeshBlockPack
 
 Offset = Tuple[int, int, int]
 Range = Tuple[int, int]
 
 
-def _slices(ranges: Sequence[Range]) -> Tuple[slice, ...]:
-    """(comp, x3, x2, x1) slice tuple from (x1, x2, x3) cell ranges."""
+def _key(rows: Sequence[int], ranges: Sequence[Range]) -> tuple:
+    """Fancy index over ``(rows, all components, x3, x2, x1)`` storage
+    selecting the (x1, x2, x3) cell ``ranges`` of every row."""
     r1, r2, r3 = ranges
     return (
+        np.array(rows, dtype=np.intp),
         slice(None),
         slice(r3[0], r3[1]),
         slice(r2[0], r2[1]),
@@ -247,10 +252,6 @@ class ExchangeStats:
     prolongations: int = 0
     restrictions: int = 0
 
-    def merge(self, other: "ExchangeStats") -> None:
-        for name in vars(other):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
 
 @dataclass
 class RebuildStats:
@@ -259,6 +260,30 @@ class RebuildStats:
     nblocks: int = 0
     nbuffers: int = 0
     cache: CacheStats = field(default_factory=CacheStats)
+
+
+@dataclass
+class ExchangePlan:
+    """One mesh generation's numeric exchange, compiled to index groups.
+
+    Each entry holds :func:`_key` fancy indices over pack storage (rows =
+    positions in ``mesh.block_list``) or over the coarse store (rows =
+    blocks with a coarser neighbor, ``ncoarse`` of them), and runs as one
+    NumPy operation for all blocks that share its geometry.
+    """
+
+    #: (restrict before send, lands in the coarse store, send key,
+    #: receive key), one per (level delta, send ranges, receive ranges).
+    copies: List[Tuple[bool, bool, tuple, tuple]]
+    #: (ghost key, edge-cell key) per physical face, in axis order.
+    physical: List[Tuple[tuple, tuple]]
+    #: (fine key, coarse key) per restricted fine region.
+    restricts: List[Tuple[tuple, tuple]]
+    #: (coarse key, fine ghost key) per coarse-neighbor offset.
+    prolongs: List[Tuple[tuple, tuple]]
+    ncoarse: int
+    #: Messages per transmitted cell count (the message-size histogram).
+    message_cells: Dict[int, int]
 
 
 class BoundaryExchange:
@@ -279,11 +304,15 @@ class BoundaryExchange:
         #: attached, per-message ghost-traffic distributions are observed.
         self.metrics = metrics
         self.cache = BufferCache(seed=cache_seed)
-        self.pool = GhostBufferPool()
         self.neighbor_table: Dict[LogicalLocation, List[NeighborInfo]] = {}
-        self._specs: Dict[LogicalLocation, List[MessageSpec]] = {}
-        self._inflight: Dict[BufferKey, Tuple[MessageSpec, Optional[dict]]] = {}
-        self._expected: int = 0
+        #: Pack whose storage the numeric exchange reads and writes; see
+        #: :meth:`bind`.
+        self.pack: Optional[MeshBlockPack] = None
+        self._owns_pack = False
+        self.plan: Optional[ExchangePlan] = None
+        self._coarse: Dict[str, np.ndarray] = {}
+        self._payloads: List[List[np.ndarray]] = []
+        self._remote_pending = 0
         self.rebuild()
 
     # ------------------------------------------------------------- rebuild
@@ -292,57 +321,166 @@ class BoundaryExchange:
         return sum(s.ncomp for s in self.mesh.field_specs)
 
     def rebuild(self) -> RebuildStats:
-        """Recompute neighbor lists, message specs, and the buffer cache.
+        """Recompute neighbor lists, the buffer cache and the exchange plan.
 
         Must be called after every remesh or load-balance — this is the
         ``BuildTagMapAndBoundaryBuffers`` + ``SetMeshBlockNeighbors`` work
-        Section II-E describes.  The modeled execution mode takes an
-        aggregate path: identical counts and traffic, no per-link Python
-        objects (the meshes there reach hundreds of thousands of links).
+        Section II-E describes.  Both execution modes keep the same
+        aggregates (per rank-pair traffic, restriction and prolongation
+        counts); the modeled mode stops there, since its meshes reach
+        hundreds of thousands of links, and the numeric mode also compiles
+        the :class:`ExchangePlan`.
         """
         self.neighbor_table = build_neighbor_table(self.mesh)
-        self.pool.clear()
         if not self.mesh.allocate:
             return self._rebuild_modeled()
+        return self._rebuild_numeric()
+
+    def _rebuild_numeric(self) -> RebuildStats:
+        """Compile the plan and the aggregates from the neighbor table."""
         nx = self.mesh.geometry.block_size
         ng = self.mesh.geometry.ng
         ndim = self.mesh.ndim
-        self._specs = {}
-        keys_with_sizes: Dict[BufferKey, int] = {}
         ncomp = self._total_ncomp()
-        for blk in self.mesh.block_list:
-            specs = [
-                message_spec(nx, ng, ndim, nbr, blk.lloc)
-                for nbr in self.neighbor_table[blk.lloc]
-            ]
-            self._specs[blk.lloc] = specs
-            for spec in specs:
-                keys_with_sizes[spec.key] = (
-                    spec.cells * ncomp * self.bytes_per_value
+        bpv = self.bytes_per_value
+        blocks = self.mesh.block_list
+        row = {blk.lloc: i for i, blk in enumerate(blocks)}
+        interior = tuple(
+            (ng, ng + nx[a]) if a < ndim else (0, 1) for a in range(3)
+        )
+        faces = [
+            (a, o, tuple(o if b == a else 0 for b in range(3)))
+            for a in range(ndim)
+            for o in (-1, 1)
+        ]
+        # Group key -> (rows read, rows written).
+        copies = defaultdict(lambda: ([], []))
+        restricts = defaultdict(lambda: ([], []))
+        prolongs = defaultdict(lambda: ([], []))
+        physical = defaultdict(list)
+        pairs: Dict[Tuple[int, int], List[int]] = {}
+        message_cells: Counter = Counter()
+        keys_with_sizes: Dict[BufferKey, int] = {}
+        per_rank: Dict[int, int] = {r: 0 for r in range(self.mpi.nranks)}
+        restricted = 0
+        ncoarse = 0
+        even = (0, 0, 0)
+        for r, blk in enumerate(blocks):
+            nbrs = self.neighbor_table[blk.lloc]
+            present = {nbr.offset for nbr in nbrs}
+            coarse_offsets = {nbr.offset for nbr in nbrs if nbr.delta == -1}
+            c = ncoarse
+            if coarse_offsets:
+                ncoarse += 1
+                # Physical ghost slabs: a same-level message's receive
+                # ranges for the missing offsets.
+                regions = [interior] + [
+                    _message_geometry(nx, ng, ndim, o, 0, even, even)[1]
+                    for o in neighbor_offsets(ndim)
+                    if o not in present
+                ]
+            rparity = (blk.lloc.lx1 & 1, blk.lloc.lx2 & 1, blk.lloc.lx3 & 1)
+            for nbr in nbrs:
+                s = nbr.nloc
+                send, recv, to_coarse, restrict_bs = _message_geometry(
+                    nx, ng, ndim, nbr.offset, nbr.delta,
+                    (s.lx1 & 1, s.lx2 & 1, s.lx3 & 1), rparity,
                 )
+                group = copies[(nbr.delta, send, recv)]
+                group[0].append(row[s])
+                group[1].append(c if to_coarse else r)
+                cells = (
+                    (recv[0][1] - recv[0][0])
+                    * (recv[1][1] - recv[1][0])
+                    * (recv[2][1] - recv[2][0])
+                )
+                message_cells[cells] += 1
+                src = blocks[row[s]].rank
+                entry = pairs.setdefault((src, blk.rank), [0, 0])
+                entry[0] += 1
+                entry[1] += cells
+                size = cells * ncomp * bpv
+                keys_with_sizes[
+                    BufferKey(sender=s, receiver=blk.lloc, offset=nbr.offset)
+                ] = size
+                if src != blk.rank:
+                    per_rank[src] += size
+                    per_rank[blk.rank] += size
+                restricted += restrict_bs
+                if coarse_offsets and nbr.delta >= 0:
+                    regions.append(recv)
+            for a, o, offset in faces:
+                if offset not in present:
+                    physical[(a, o)].append(r)
+            if coarse_offsets:
+                for fine in regions:
+                    restricts[fine][0].append(r)
+                    restricts[fine][1].append(c)
+                for offset in coarse_offsets:
+                    prolongs[offset][0].append(r)
+                    prolongs[offset][1].append(c)
+        self._agg_pairs = pairs
+        self._agg_restricted_msgs = restricted
+        self._agg_prolongs = sum(len(rows) for rows, _ in prolongs.values())
+        self._agg_restricts = sum(len(rows) for rows, _ in restricts.values())
+        self._agg_nbuffers = len(keys_with_sizes)
+        self.plan = ExchangePlan(
+            copies=[
+                (delta == 1, delta == -1, _key(src, send), _key(dst, recv))
+                for (delta, send, recv), (src, dst) in copies.items()
+            ],
+            physical=[
+                self._physical_keys(rows, a, o)
+                for (a, o), rows in sorted(physical.items())
+            ],
+            restricts=[
+                (
+                    _key(rows, fine),
+                    _key(crows, restrict_target_ranges(nx, ng, ndim, fine)),
+                )
+                for fine, (rows, crows) in restricts.items()
+            ],
+            prolongs=[
+                (_key(crows, src), _key(rows, tgt))
+                for offset, (rows, crows) in prolongs.items()
+                for src, tgt in [prolong_ranges(nx, ng, ndim, offset)]
+            ],
+            ncoarse=ncoarse,
+            message_cells=dict(message_cells),
+        )
+        self._coarse = {}
+        if self.pack is not None and self.pack.blocks != blocks:
+            self.pack = None
         cache_stats = self.cache.initialize(keys_with_sizes)
         cache_stats_views = self.cache.rebuild_views()
         cache_stats.views_rebuilt = cache_stats_views.views_rebuilt
         cache_stats.h2d_copies = cache_stats_views.h2d_copies
         cache_stats.metadata_bytes = cache_stats_views.metadata_bytes
-
         # Persistent send+receive buffers registered per rank for remote
         # links (the MPI part of Fig. 10's memory breakdown).
-        per_rank: Dict[int, int] = {r: 0 for r in range(self.mpi.nranks)}
-        for blk in self.mesh.block_list:
-            for spec in self._specs[blk.lloc]:
-                sender = self.mesh.block_at(spec.key.sender)
-                if sender.rank != blk.rank:
-                    size = keys_with_sizes[spec.key]
-                    per_rank[sender.rank] += size
-                    per_rank[blk.rank] += size
         self.mpi.set_registered_buffer_bytes(per_rank)
-
         return RebuildStats(
             nblocks=self.mesh.num_blocks,
             nbuffers=len(keys_with_sizes),
             cache=cache_stats,
         )
+
+    def _physical_keys(self, rows: List[int], a: int, o: int):
+        """(ghost key, edge key) of the outflow fill of face (``a``, ``o``).
+
+        The fill spans the full tangential extent (ghost columns included),
+        so edge and corner regions bordered by physical boundaries are
+        covered by the axis-ordered sequence of face fills.
+        """
+        ng = self.mesh.geometry.ng
+        n = self.mesh.geometry.block_size[a] + 2 * ng
+        ghost = [(0, t) for t in self.mesh.block_list[0].shape.total]
+        edge = list(ghost)
+        if o == -1:
+            ghost[a], edge[a] = (0, ng), (ng, ng + 1)
+        else:
+            ghost[a], edge[a] = (n - ng, n), (n - ng - 1, n - ng)
+        return _key(rows, ghost), _key(rows, edge)
 
     def _rebuild_modeled(self) -> RebuildStats:
         """Aggregate rebuild for cost-only runs: same counts, no objects."""
@@ -418,64 +556,102 @@ class BoundaryExchange:
 
     # -------------------------------------------------------------- phases
 
+    def bind(self, pack: MeshBlockPack) -> None:
+        """Exchange over ``pack``'s contiguous storage.
+
+        ``pack`` must hold the mesh's blocks in ``mesh.block_list`` order
+        with their field arrays aliasing it (:func:`build_numeric_pack`);
+        a rebuild after a remesh drops it.  Without a bound pack the
+        exchange packs every mesh field itself on the next send, and
+        repacks whenever the blocks stop aliasing that pack.
+        """
+        self.pack = pack
+        self._owns_pack = False
+
+    def _field_views(self, field_names: Sequence[str]) -> List[np.ndarray]:
+        """Pack-wide ``(nblocks, ncomp, x3, x2, x1)`` view of each field."""
+        pack = self.pack
+        if pack is not None and not (
+            pack.blocks == self.mesh.block_list
+            and all(
+                name in pack.field_names
+                and np.may_share_memory(blk.fields[name], pack.data)
+                for name in field_names
+                for blk in pack.blocks
+            )
+        ):
+            if not self._owns_pack:
+                raise ValueError(
+                    "the bound pack does not alias the mesh's blocks for "
+                    f"fields {list(field_names)}; bind the current pack"
+                )
+            pack = None
+        if pack is None:
+            pack = self.pack = MeshBlockPack(
+                self.mesh.block_list,
+                [s.name for s in self.mesh.field_specs],
+                contiguous=True,
+            )
+            pack.adopt_blocks()
+            self._owns_pack = True
+        return [pack.field(name) for name in field_names]
+
+    def _coarse_store(self, name: str, ncomp: int) -> np.ndarray:
+        """The plan's coarse buffer for field ``name``: one row per block
+        with a coarser neighbor, at the block's half-resolution shape."""
+        store = self._coarse.get(name)
+        if store is None:
+            shape = self.mesh.block_list[0].coarse_shape.array_shape
+            store = self._coarse[name] = np.zeros(
+                (self.plan.ncoarse, ncomp) + shape
+            )
+        return store
+
     def start_receive_bound_bufs(self) -> int:
         """Phase 1: register expected incoming messages."""
-        self._inflight = {}
-        if not self.mesh.allocate:
-            self._expected = self._agg_nbuffers
-        else:
-            self._expected = sum(len(v) for v in self._specs.values())
-        return self._expected
+        return self._agg_nbuffers
 
     def send_bound_bufs(self, field_names: Sequence[str]) -> ExchangeStats:
         """Phase 2: pack (restricting where needed) and post all messages."""
         stats = ExchangeStats()
         ncomp_by_name = {s.name: s.ncomp for s in self.mesh.field_specs}
         ncomp = sum(ncomp_by_name[name] for name in field_names)
-        if not self.mesh.allocate:
-            for (src, dst), (count, cells) in self._agg_pairs.items():
-                nbytes = cells * ncomp * self.bytes_per_value
-                self.mpi.send_bulk(src, dst, count, nbytes)
-                if self.metrics is not None and count:
-                    # Aggregate path: one observation per rank pair, at
-                    # the pair's mean message size.
-                    self.metrics.observe("ghost_message_bytes", nbytes / count)
-                if src == dst:
-                    stats.messages_local += count
-                else:
-                    stats.messages_remote += count
-                stats.cells_communicated += cells
-                stats.bytes_communicated += nbytes
-                stats.buffers_packed += count
-            stats.restrictions += self._agg_restricted_msgs
-            self._remote_pending = stats.messages_remote
-            return stats
-        for blk in self.mesh.block_list:
-            for spec in self._specs[blk.lloc]:
-                sender = self.mesh.block_at(spec.key.sender)
-                payload: Optional[dict] = None
-                if self.mesh.allocate:
-                    payload = {}
-                    for name in field_names:
-                        slab = sender.fields[name][_slices(spec.send_ranges)]
-                        if spec.restrict_before_send:
-                            slab = restrict(slab, self.mesh.ndim)
-                            stats.restrictions += 1
-                        buf = self.pool.acquire(slab.shape)
-                        np.copyto(buf, slab)
-                        payload[name] = buf
-                nbytes = spec.cells * ncomp * self.bytes_per_value
-                self.mpi.send(sender.rank, blk.rank, nbytes)
-                if self.metrics is not None:
-                    self.metrics.observe("ghost_message_bytes", nbytes)
-                if sender.rank == blk.rank:
-                    stats.messages_local += 1
-                else:
-                    stats.messages_remote += 1
-                stats.cells_communicated += spec.cells
-                stats.bytes_communicated += nbytes
-                stats.buffers_packed += 1
-                self._inflight[spec.key] = (spec, payload)
+        numeric = self.mesh.allocate
+        if numeric:
+            ndim = self.mesh.ndim
+            self._payloads = [
+                [
+                    restrict(f[send], ndim) if restrict_bs else f[send]
+                    for restrict_bs, _, send, _ in self.plan.copies
+                ]
+                for f in self._field_views(field_names)
+            ]
+            if self.metrics is not None:
+                for cells, count in self.plan.message_cells.items():
+                    self.metrics.observe(
+                        "ghost_message_bytes",
+                        cells * ncomp * self.bytes_per_value,
+                        count=count,
+                    )
+        for (src, dst), (count, cells) in self._agg_pairs.items():
+            nbytes = cells * ncomp * self.bytes_per_value
+            self.mpi.send_bulk(src, dst, count, nbytes)
+            if not numeric and self.metrics is not None and count:
+                # Aggregate path: one observation per rank pair, at
+                # the pair's mean message size.
+                self.metrics.observe("ghost_message_bytes", nbytes / count)
+            if src == dst:
+                stats.messages_local += count
+            else:
+                stats.messages_remote += count
+            stats.cells_communicated += cells
+            stats.bytes_communicated += nbytes
+            stats.buffers_packed += count
+        # Numeric runs restrict each field of a message separately.
+        stats.restrictions += self._agg_restricted_msgs * (
+            len(field_names) if numeric else 1
+        )
+        self._remote_pending = stats.messages_remote
         return stats
 
     def receive_bound_bufs(self) -> int:
@@ -485,42 +661,32 @@ class BoundaryExchange:
         the cost model is the polling activity: one ``MPI_Iprobe`` nudge and
         one ``MPI_Test`` completion check per remote message.
         """
-        if not self.mesh.allocate:
-            remote = getattr(self, "_remote_pending", 0)
-            self.mpi.iprobe(remote)
-            self.mpi.test(remote)
-            return self._agg_nbuffers
-        remote = sum(
-            1
-            for spec, _ in self._inflight.values()
-            if self.mesh.block_at(spec.key.sender).rank
-            != self.mesh.block_at(spec.key.receiver).rank
-        )
-        self.mpi.iprobe(remote)
-        self.mpi.test(remote)
-        return len(self._inflight)
+        self.mpi.iprobe(self._remote_pending)
+        self.mpi.test(self._remote_pending)
+        return self._agg_nbuffers
 
     def set_bounds(self, field_names: Sequence[str]) -> ExchangeStats:
-        """Phase 4: unpack, restrict locally, prolongate coarse regions."""
-        stats = ExchangeStats()
+        """Phase 4: unpack, fill physical ghosts, restrict, prolongate."""
+        stats = ExchangeStats(
+            prolongations=self._agg_prolongs, restrictions=self._agg_restricts
+        )
         if self.mesh.allocate:
-            self._unpack(field_names)
-            # Consumed payload buffers go back to the pool for next cycle.
-            for _, payload in self._inflight.values():
-                if payload:
-                    for arr in payload.values():
-                        self.pool.release(arr)
-            for blk in self.mesh.block_list:
-                self._fill_physical_ghosts(blk, field_names)
-            stats.prolongations, stats.restrictions = (
-                self._restrict_and_prolongate(field_names)
-            )
-        else:
-            # Model mode: kernel work counts from the rebuild aggregates.
-            stats.prolongations = self._agg_prolongs
-            stats.restrictions = self._agg_restricts
+            plan = self.plan
+            ndim = self.mesh.ndim
+            payloads = self._payloads or [[]] * len(field_names)
+            views = self._field_views(field_names)
+            for name, f, payload in zip(field_names, views, payloads):
+                coarse = self._coarse_store(name, f.shape[1])
+                for (_, to_coarse, _, recv), slab in zip(plan.copies, payload):
+                    (coarse if to_coarse else f)[recv] = slab
+                for ghost, edge in plan.physical:
+                    f[ghost] = f[edge]
+                for fine, target in plan.restricts:
+                    coarse[target] = restrict(f[fine], ndim)
+                for source, ghost in plan.prolongs:
+                    f[ghost] = prolong(coarse[source], ndim)
+            self._payloads = []
         self.cache.mark_stale()
-        self._inflight = {}
         return stats
 
     def exchange(self, field_names: Sequence[str]) -> ExchangeStats:
@@ -532,126 +698,3 @@ class BoundaryExchange:
         stats.prolongations += set_stats.prolongations
         stats.restrictions += set_stats.restrictions
         return stats
-
-    # ------------------------------------------------------------ internals
-
-    def _coarse_offsets(self, lloc: LogicalLocation) -> List[Offset]:
-        return [
-            nbr.offset for nbr in self.neighbor_table[lloc] if nbr.delta == -1
-        ]
-
-    def _unpack(self, field_names: Sequence[str]) -> None:
-        for spec, payload in self._inflight.values():
-            blk = self.mesh.block_at(spec.key.receiver)
-            target = blk.coarse_fields if spec.to_coarse else blk.fields
-            sl = _slices(spec.recv_ranges)
-            for name in field_names:
-                target[name][sl] = payload[name]
-
-    def _restrict_and_prolongate(
-        self, field_names: Sequence[str]
-    ) -> Tuple[int, int]:
-        """Fill coarse buffers from local fine data, then prolongate.
-
-        Only blocks that actually have a coarser neighbor need this work.
-        Returns (prolongation launches, restriction launches).
-        """
-        nx = self.mesh.geometry.block_size
-        ng = self.mesh.geometry.ng
-        ndim = self.mesh.ndim
-        n_prolong = 0
-        n_restrict = 0
-        for blk in self.mesh.block_list:
-            coarse_offsets = self._coarse_offsets(blk.lloc)
-            if not coarse_offsets:
-                continue
-            # Restrict the interior into the coarse buffer.
-            interior = tuple(
-                (ng, ng + nx[a]) if a < ndim else (0, 1) for a in range(3)
-            )
-            regions = [interior]
-            # Restrict every ghost slab filled at fine resolution
-            # (same-level and finer neighbors, and physical boundaries).
-            for spec in self._specs[blk.lloc]:
-                if spec.delta >= 0:
-                    regions.append(spec.recv_ranges)
-            for offset in self._physical_offsets(blk.lloc):
-                regions.append(self._ghost_ranges(nx, ng, ndim, offset))
-            for fine_ranges in regions:
-                coarse_ranges = restrict_target_ranges(nx, ng, ndim, fine_ranges)
-                for name in field_names:
-                    fine = blk.fields[name][_slices(fine_ranges)]
-                    blk.coarse_fields[name][_slices(coarse_ranges)] = restrict(
-                        fine, ndim
-                    )
-                n_restrict += 1
-            # Prolongate each coarse-neighbor ghost region.
-            for offset in set(coarse_offsets):
-                src, tgt = prolong_ranges(nx, ng, ndim, offset)
-                for name in field_names:
-                    coarse = blk.coarse_fields[name][_slices(src)]
-                    blk.fields[name][_slices(tgt)] = prolong(coarse, ndim)
-                n_prolong += 1
-        return n_prolong, n_restrict
-
-    @staticmethod
-    def _ghost_ranges(
-        nx: Tuple[int, int, int], ng: int, ndim: int, offset: Offset
-    ) -> Tuple[Range, Range, Range]:
-        """Fine ghost-slab ranges for ``offset`` (receiver side, delta=0)."""
-        out: List[Range] = []
-        for a in range(3):
-            if a >= ndim:
-                out.append((0, 1))
-                continue
-            o = offset[a]
-            if o == -1:
-                out.append((0, ng))
-            elif o == 1:
-                out.append((ng + nx[a], ng + nx[a] + ng))
-            else:
-                out.append((ng, ng + nx[a]))
-        return tuple(out)
-
-    def _physical_offsets(self, lloc: LogicalLocation) -> List[Offset]:
-        """Offsets that face a non-periodic physical boundary."""
-        present = {nbr.offset for nbr in self.neighbor_table[lloc]}
-        return [
-            o for o in neighbor_offsets(self.mesh.ndim) if o not in present
-        ]
-
-    def _physical_faces(self, lloc: LogicalLocation) -> List[Tuple[int, int]]:
-        """(axis, side) pairs whose face sits on a physical boundary."""
-        present = {nbr.offset for nbr in self.neighbor_table[lloc]}
-        faces = []
-        for a in range(self.mesh.ndim):
-            for o in (-1, 1):
-                offset = tuple(o if ax == a else 0 for ax in range(3))
-                if offset not in present:
-                    faces.append((a, o))
-        return faces
-
-    def _fill_physical_ghosts(
-        self, blk: MeshBlock, field_names: Sequence[str]
-    ) -> None:
-        """Outflow (zero-gradient) fill for non-periodic boundary faces.
-
-        Each face fill spans the full tangential extent (including ghost
-        columns), so edge and corner regions bordered by physical boundaries
-        are covered by the axis-ordered sequence of face fills.
-        """
-        ng = self.mesh.geometry.ng
-        for a, o in self._physical_faces(blk.lloc):
-            axis = 3 - a
-            for name in field_names:
-                arr = blk.fields[name]
-                n = arr.shape[axis]
-                edge = [slice(None)] * 4
-                tgt = [slice(None)] * 4
-                if o == -1:
-                    edge[axis] = slice(ng, ng + 1)
-                    tgt[axis] = slice(0, ng)
-                else:
-                    edge[axis] = slice(n - ng - 1, n - ng)
-                    tgt[axis] = slice(n - ng, n)
-                arr[tuple(tgt)] = arr[tuple(edge)]

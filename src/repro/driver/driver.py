@@ -144,6 +144,7 @@ class ParthenonDriver:
         )
         self.metrics = MetricsRegistry()
         self.mpi = SimMPI(config.total_ranks, nnodes=config.num_nodes)
+        self._plan: RedistributionPlan = balance(self.mesh, config.total_ranks)
         self.bx = BoundaryExchange(self.mesh, self.mpi, metrics=self.metrics)
         self.fc = FluxCorrection(self.mesh, self.mpi)
         self.fc.set_neighbor_table(self.bx.neighbor_table)
@@ -188,9 +189,6 @@ class ParthenonDriver:
         self.rebuild_seconds = 0.0
         self.oom = False
         self.history: List[HistoryRow] = []
-        self._plan: RedistributionPlan = balance(self.mesh, config.total_ranks)
-        self.bx.rebuild()
-        self.fc.set_neighbor_table(self.bx.neighbor_table)
         #: Cached contiguous pack for the packed execution engine; rebuilt
         #: lazily and only when the mesh's block population changes.
         self._pack: Optional[MeshBlockPack] = None
@@ -266,6 +264,7 @@ class ParthenonDriver:
         )
         if self._shard_exec is not None:
             self._shard_exec.rebind(pack)
+        self.bx.bind(pack)
         return pack
 
     def shutdown_shards(self) -> None:
@@ -486,9 +485,11 @@ class ParthenonDriver:
             self._kernel("CalculateDerived", total_cells)
         with self.prof.region("MassHistory"):
             if self.numeric:
-                self.history.append(
-                    reduce_history(self.mesh, self.pkg, self.cycle, self.time)
+                row = reduce_history(
+                    self.mesh, self.pkg, self.cycle, self.time
                 )
+                self._check_finite(row)
+                self.history.append(row)
             self._kernel("MassHistory", total_cells)
             self.mpi.allreduce(8 * (self.pkg.ncomp + 2))
             self._charge_fixed(
@@ -776,6 +777,28 @@ class ParthenonDriver:
             # no limit: take a fixed step.
             dt = 1e-3
         return dt
+
+    def _check_finite(self, row: HistoryRow) -> None:
+        """Raise :class:`NumericalError` when a history total is not finite.
+
+        Every total sums all interior cells, so a non-finite cell cannot
+        leave them finite and a normal cycle scans nothing; only a failing
+        cycle searches the blocks to name the first offending one.
+        """
+        totals = row.scalar_totals + row.momentum_totals + [row.total_d]
+        if all(math.isfinite(t) for t in totals):
+            return
+        for blk in self.mesh.block_list:
+            for name in (CONSERVED, DERIVED):
+                bad = np.argwhere(~np.isfinite(blk.interior(name)))
+                if len(bad):
+                    raise NumericalError(
+                        f"cycle {self.cycle}: non-finite state in {name} "
+                        f"component {bad[0][0]} of block uid {blk.uid}"
+                    )
+        raise NumericalError(
+            f"cycle {self.cycle}: non-finite history totals {totals}"
+        )
 
     # ------------------------------------------------------------- memory
 

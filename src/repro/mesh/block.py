@@ -5,10 +5,12 @@ Field arrays are always stored with a uniform 4-axis layout
 ghost zones.  This keeps every kernel and every ghost-exchange slice
 dimension-agnostic.
 
-Each block also owns a *coarse buffer* per field — the block's own extent
-sampled at half resolution — used to receive data from coarser neighbors
-before prolongation fills the fine ghost zones, exactly as in
-Athena++/Parthenon (Section II-D).
+``coarse_shape`` describes the block's own extent sampled at half
+resolution — the shape of the coarse buffer that receives data from
+coarser neighbors before prolongation fills the fine ghost zones, exactly
+as in Athena++/Parthenon (Section II-D).  The numeric ghost exchange keeps
+those buffers in one coarse store per field, for the blocks that have a
+coarser neighbor (:class:`repro.comm.bvals.ExchangePlan`).
 """
 
 from __future__ import annotations
@@ -122,7 +124,6 @@ class MeshBlock:
         self.bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
         self.field_specs: Dict[str, FieldSpec] = {}
         self.fields: Dict[str, np.ndarray] = {}
-        self.coarse_fields: Dict[str, np.ndarray] = {}
         # Face-centered fluxes per axis, allocated on demand by the solver.
         self.fluxes: Dict[str, List[Optional[np.ndarray]]] = {}
         self.allocated = allocate
@@ -167,9 +168,6 @@ class MeshBlock:
         if self.allocated:
             self.fields[spec.name] = np.zeros(
                 (spec.ncomp,) + self.shape.array_shape
-            )
-            self.coarse_fields[spec.name] = np.zeros(
-                (spec.ncomp,) + self.coarse_shape.array_shape
             )
 
     def allocate_fluxes(self, name: str) -> None:

@@ -20,78 +20,78 @@ def minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) < np.abs(b), a, b))
 
 
-def _axis_slices(axis: int, lo: int, hi_offset: int, ndim_total: int = 4):
-    """Slice tuple selecting ``[lo : n + hi_offset]`` along ``axis``."""
-    s = [slice(None)] * ndim_total
-    s[axis] = slice(lo, hi_offset if hi_offset < 0 else None)
-    return tuple(s)
-
-
 def limited_slopes(arr: np.ndarray, axis: int) -> np.ndarray:
     """Minmod-limited slopes along ``axis`` for the cells ``1..n-2``.
 
     The returned array is two cells shorter along ``axis`` than the input.
     """
-    left = arr[_axis_slices(axis, 1, -1)] - arr[_axis_slices(axis, 0, -2)]
-    right = arr[_axis_slices(axis, 2, 0)] - arr[_axis_slices(axis, 1, -1)]
-    return minmod(left, right)
+    d = np.moveaxis(np.diff(arr, axis=axis), axis, -1)
+    return np.moveaxis(minmod(d[..., :-1], d[..., 1:]), -1, axis)
 
 
 def prolong(coarse: np.ndarray, ndim: int, limit: bool = True) -> np.ndarray:
     """Interpolate ``coarse`` (with a 1-cell margin) to fine resolution.
 
-    ``coarse`` has shape ``(ncomp, m3, m2, m1)`` where every *active*
-    dimension carries at least one margin cell on each side for slope
-    computation.  The result covers only the margin-stripped interior at
-    double resolution: active extent ``2 * (m - 2)``.
+    ``coarse`` has shape ``(..., ncomp, m3, m2, m1)`` — leading batch axes
+    (one region per block in the ghost exchange) are carried through —
+    where every *active* dimension carries at least one margin cell on each
+    side for slope computation.  The result covers only the margin-stripped
+    interior at double resolution: active extent ``2 * (m - 2)``.
+
+    Each fine child is ``((c ± s_0/4) ± s_1/4) ± s_2/4``, accumulated in
+    axis order, and is written into its strided slot of the output.
 
     When ``limit`` is False, unlimited central-difference slopes are used
     (useful to demonstrate why limiting matters near discontinuities).
     """
-    if coarse.ndim != 4:
-        raise ValueError(f"expected 4-axis array, got shape {coarse.shape}")
-    for a in range(ndim):
-        if coarse.shape[3 - a] < 3:
+    nd = coarse.ndim
+    if nd < 4:
+        raise ValueError(
+            f"expected (..., ncomp, m3, m2, m1), got {coarse.shape}"
+        )
+    axes = [nd - 1 - a for a in range(ndim)]
+    for a, axis in enumerate(axes):
+        if coarse.shape[axis] < 3:
             raise ValueError(
                 f"active dimension {a} needs >= 3 cells (1-cell margins), "
-                f"got {coarse.shape[3 - a]}"
+                f"got {coarse.shape[axis]}"
             )
 
-    # Strip margins to get the coarse interior, and per-axis slopes on it.
-    center = coarse
-    for a in range(ndim):
-        center = center[_axis_slices(3 - a, 1, -1)]
-
-    slopes = []
-    for a in range(ndim):
+    # The coarse interior (margins stripped) and per-axis quarter slopes
+    # on it, differenced against its neighbors one cell along each axis.
+    inner = [slice(None)] * nd
+    for axis in axes:
+        inner[axis] = slice(1, -1)
+    center = coarse[tuple(inner)]
+    quarters = []
+    for axis in axes:
+        below, above = list(inner), list(inner)
+        below[axis], above[axis] = slice(0, -2), slice(2, None)
+        lo, hi = coarse[tuple(below)], coarse[tuple(above)]
         if limit:
-            s = limited_slopes(coarse, 3 - a)
+            s = minmod(center - lo, hi - center)
         else:
-            s = 0.5 * (
-                coarse[_axis_slices(3 - a, 2, 0)]
-                - coarse[_axis_slices(3 - a, 0, -2)]
-            )
-        # Strip margins along the *other* active dimensions.
-        for b in range(ndim):
-            if b != a:
-                s = s[_axis_slices(3 - b, 1, -1)]
-        slopes.append(s)
+            s = 0.5 * (hi - lo)
+        quarters.append(s * 0.25)
 
-    # Expand: repeat each coarse cell 2x per active axis, then add the
-    # alternating ±s/4 offsets.
-    fine = center
-    for a in range(ndim):
-        fine = np.repeat(fine, 2, axis=3 - a)
-    for a, s in enumerate(slopes):
-        axis = 3 - a
-        expanded = s
-        for b in range(ndim):
-            expanded = np.repeat(expanded, 2, axis=3 - b)
-        n = expanded.shape[axis]
-        signs_shape = [1, 1, 1, 1]
-        signs_shape[axis] = n
-        signs = np.where(np.arange(n) % 2 == 0, -0.25, 0.25).reshape(signs_shape)
-        fine = fine + expanded * signs
+    # Children by axis-ordered accumulation: ``c - q`` is bitwise
+    # ``c + s * -0.25``.  Key: child parity per active axis.
+    children = {(): center}
+    for q in quarters:
+        children = {
+            key + (side,): (v - q if side == 0 else v + q)
+            for key, v in children.items()
+            for side in (0, 1)
+        }
+    shape = list(center.shape)
+    for axis in axes:
+        shape[axis] *= 2
+    fine = np.empty(shape, dtype=np.result_type(coarse, 0.25))
+    for key, value in children.items():
+        slot = [slice(None)] * nd
+        for axis, side in zip(axes, key):
+            slot[axis] = slice(side, None, 2)
+        fine[tuple(slot)] = value
     return fine
 
 
@@ -101,5 +101,5 @@ def prolong_shape(
     """Output shape of :func:`prolong` for a given input shape."""
     out = list(coarse_shape)
     for a in range(ndim):
-        out[3 - a] = 2 * (out[3 - a] - 2)
+        out[-1 - a] = 2 * (out[-1 - a] - 2)
     return tuple(out)

@@ -189,7 +189,6 @@ def restore_driver(
         setattr(driver, name, value)
     driver.bx = BoundaryExchange(driver.mesh, driver.mpi, metrics=driver.metrics)
     driver.fc = FluxCorrection(driver.mesh, driver.mpi)
-    driver.bx.rebuild()
     driver.fc.set_neighbor_table(driver.bx.neighbor_table)
     # Recreate the kernel engine against the *restored* package via the
     # registry, re-resolving availability in this process (the effective

@@ -11,21 +11,12 @@ Parthenon's RK2 is the two-stage strong-stability-preserving scheme:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.comm.bvals import BoundaryExchange
 from repro.comm.flux_correction import FluxCorrection
 from repro.mesh.mesh import Mesh
-from repro.kernels.backends.numpy_backend import PackedBurgersKernels
-from repro.solver.burgers import (
-    BASE,
-    BurgersPackage,
-    CONSERVED,
-    DERIVED,
-)
-from repro.solver.packs import MeshBlockPack, build_numeric_pack
+from repro.solver.burgers import BurgersPackage, CONSERVED
 
 #: Per-stage (gam0, gam1, beta) weights of Parthenon's rk2:
 #: ``U <- gam0 * U + gam1 * U0 + beta * dt * L(U)``.
@@ -60,46 +51,6 @@ def advance_rk2(
         pkg.fill_derived(blk)
 
 
-def advance_rk2_packed(
-    mesh: Mesh,
-    pkg: BurgersPackage,
-    bx: BoundaryExchange,
-    dt: float,
-    fc: Optional[FluxCorrection] = None,
-    engine: Optional[PackedBurgersKernels] = None,
-    pack: Optional[MeshBlockPack] = None,
-) -> Tuple[MeshBlockPack, PackedBurgersKernels]:
-    """:func:`advance_rk2` through the packed execution engine.
-
-    Builds (or reuses) a contiguous whole-mesh pack whose views the blocks
-    adopt, then runs each stage as whole-pack fused kernels.  Returns the
-    ``(pack, engine)`` pair so steady-state callers can pass them back in and
-    skip the rebuild; rebuild the pack (pass ``pack=None``) after any remesh.
-    """
-    if engine is None:
-        engine = PackedBurgersKernels(pkg)
-    if pack is None:
-        pack = build_numeric_pack(
-            mesh, (CONSERVED, BASE, DERIVED), flux_field=CONSERVED
-        )
-    engine.save_base(pack)
-    for gam0, gam1, beta in RK2_STAGES:
-        bx.exchange([CONSERVED])
-        engine.calculate_fluxes(pack)
-        if fc is not None:
-            fc.correct([CONSERVED])
-        engine.flux_divergence_and_update(pack, gam0, gam1, beta * dt)
-    engine.fill_derived(pack)
-    return pack, engine
-
-
 def estimate_dt(mesh: Mesh, pkg: BurgersPackage) -> float:
     """Global CFL timestep: the minimum over all blocks."""
     return min(pkg.estimate_timestep(blk) for blk in mesh.block_list)
-
-
-def estimate_dt_packed(
-    pack: MeshBlockPack, engine: PackedBurgersKernels
-) -> float:
-    """Global CFL timestep from one fused whole-pack reduction."""
-    return float(np.min(engine.estimate_timestep(pack)))

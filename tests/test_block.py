@@ -47,7 +47,7 @@ class TestFields:
     def test_field_array_shape(self):
         blk = make_block(ndim=2, nx=8, ng=2, ncomp=3)
         assert blk.fields["u"].shape == (3, 1, 12, 12)
-        assert blk.coarse_fields["u"].shape == (3, 1, 8, 8)
+        assert blk.coarse_shape.array_shape == (1, 8, 8)
 
     def test_3d_field_shape(self):
         blk = make_block(ndim=3, nx=8, ng=4)

@@ -334,3 +334,54 @@ class TestRebuild:
         sm = BoundaryExchange(mod, SimMPI(1)).rebuild()
         assert sn.nbuffers == sm.nbuffers
         assert sn.cache.keys_sorted == sm.cache.keys_sorted
+
+
+class TestExchangePlan:
+    """The compiled plan, its coarse store and the storage it exchanges."""
+
+    def test_coarse_store_covers_only_blocks_with_a_coarser_neighbor(self):
+        mesh = make_mesh(ndim=2, levels=2, ncomp=3)
+        mesh.remesh(refine=[mesh.block_list[5].lloc], derefine=[])
+        bx = BoundaryExchange(mesh, SimMPI(1))
+        bx.exchange(["q"])
+        with_coarser = [
+            blk for blk in mesh.block_list
+            if any(n.delta == -1 for n in bx.neighbor_table[blk.lloc])
+        ]
+        assert 0 < len(with_coarser) < mesh.num_blocks
+        shape = mesh.block_list[0].coarse_shape.array_shape
+        assert shape == (1, 8, 8)
+        assert bx._coarse["q"].shape == (len(with_coarser), 3) + shape
+        assert bx.plan.ncoarse == len(with_coarser)
+
+    def test_groups_share_geometry_across_blocks(self):
+        mesh = make_mesh(ndim=2, levels=1)
+        bx = BoundaryExchange(mesh, SimMPI(1))
+        # A periodic uniform 4x4 mesh: one copy group per offset, each
+        # holding all 16 receivers; nothing to restrict or prolongate.
+        assert len(bx.plan.copies) == 8
+        assert all(len(recv[0]) == 16 for _, _, _, recv in bx.plan.copies)
+        assert not (bx.plan.restricts or bx.plan.prolongs or bx.plan.physical)
+
+    def test_repacks_when_blocks_adopt_another_pack(self):
+        from repro.solver.packs import build_numeric_pack
+
+        mesh = make_mesh(ndim=2, levels=2)
+        mesh.remesh(refine=[interior_block(mesh, (1, 1, 0)).lloc], derefine=[])
+        bx = BoundaryExchange(mesh, SimMPI(1))
+        bx.exchange(["q"])
+        build_numeric_pack(mesh, ["q"])  # the blocks leave bx's own pack
+        fill_linear(mesh)
+        bx.exchange(["q"])
+        assert check_linear_ghosts(mesh) > 0
+
+    def test_bound_pack_that_lost_its_blocks_raises(self):
+        from repro.solver.packs import build_numeric_pack
+
+        mesh = make_mesh(ndim=2, levels=1)
+        bx = BoundaryExchange(mesh, SimMPI(1))
+        bx.bind(build_numeric_pack(mesh, ["q"]))
+        bx.exchange(["q"])
+        build_numeric_pack(mesh, ["q"])
+        with pytest.raises(ValueError, match="bound pack"):
+            bx.exchange(["q"])

@@ -226,6 +226,70 @@ class TestNumericMode:
             d.run(2)
 
     @pytest.mark.parametrize("kernel_mode", ["packed", "per_block"])
+    def test_nan_passive_scalar_raises_naming_block_and_component(
+        self, kernel_mode
+    ):
+        uids = []
+
+        def poisoned(mesh, pkg):
+            gaussian_blob(mesh, pkg)
+            # A scalar does not reach dt: only the history check sees it.
+            # By the check the NaN has spread to neighbours; the first
+            # block in gid order is still the one named.
+            blk = mesh.block_list[0]
+            blk.interior(CONSERVED)[pkg.nvel + 1, 0, 1, 2] = np.nan
+            uids.append(blk.uid)
+
+        d = ParthenonDriver(
+            small_params(mesh_size=32, block_size=8, num_scalars=2),
+            gpu_config(mode="numeric", kernel_mode=kernel_mode),
+            initial_conditions=poisoned,
+        )
+        component = d.pkg.nvel + 1
+        with pytest.raises(
+            NumericalError,
+            match=(
+                f"cycle 0: non-finite state in {CONSERVED} component "
+                f"{component} of block uid {uids[0]}$"
+            ),
+        ):
+            d.run(2)
+        assert d.history == []
+
+    def test_nan_campaign_point_is_an_error_and_never_cached(
+        self, tmp_path, monkeypatch
+    ):
+        import json
+
+        import repro.api as api
+        from repro.api import RunSpec
+        from repro.orchestration.campaign import run_campaign
+
+        def poisoned(mesh, pkg):
+            gaussian_blob(mesh, pkg)
+            mesh.block_list[0].interior(CONSERVED)[pkg.nvel, 0, 0, 0] = np.nan
+
+        class PoisonedDriver(ParthenonDriver):
+            def __init__(self, *args, **kwargs):
+                kwargs["initial_conditions"] = poisoned
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(api, "ParthenonDriver", PoisonedDriver)
+        spec = RunSpec(
+            small_params(mesh_size=32, block_size=8),
+            gpu_config(mode="numeric"),
+            ncycles=2,
+            warmup=0,
+            label="nan",
+        )
+        summary = run_campaign([spec], tmp_path, workers=1, retries=0)
+        assert summary.failed == 1
+        assert not list((tmp_path / "points").glob("*.json"))
+        (error,) = (tmp_path / "errors").glob("*.json")
+        message = json.loads(error.read_text())["error"]["message"]
+        assert message.startswith("cycle 0: non-finite state in")
+
+    @pytest.mark.parametrize("kernel_mode", ["packed", "per_block"])
     def test_fluid_at_rest_takes_the_fixed_step(self, kernel_mode):
         d = ParthenonDriver(
             small_params(mesh_size=32, block_size=8),

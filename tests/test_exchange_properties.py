@@ -121,3 +121,56 @@ def test_rank_count_does_not_change_traffic_volume(nranks):
         stats.messages_local + stats.messages_remote
         == stats2.messages_local + stats2.messages_remote
     )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    ndim=st.integers(1, 3),
+    ng=st.sampled_from([2, 4]),
+    periodic=st.booleans(),
+    picks=st.lists(st.integers(0, 10_000), max_size=6),
+    c=st.floats(-1e300, 1e300, allow_nan=False),
+)
+def test_constant_survives_exchange_at_every_level_property(
+    ndim, ng, periodic, picks, c
+):
+    """Property (the firedrake ``test_restriction`` check, on the block
+    hierarchy): after any refine sequence, one exchange of a constant
+    field leaves every cell inside the domain, ghosts included and on
+    every level, equal to the constant; a second exchange does the same
+    for every cell.  Restriction averages equal values and minmod slopes
+    of a constant are zero, so no rounding is allowed.
+
+    Physical ghosts are filled before prolongation, so a corner ghost
+    outside the domain, next to both a physical face and a coarser
+    neighbor, holds the previous exchange's data until the next one."""
+    n = {1: 64, 2: 32, 3: 16}[ndim]
+    geo = MeshGeometry(
+        ndim=ndim,
+        mesh_size=tuple(n if a < ndim else 1 for a in range(3)),
+        block_size=tuple(8 if a < ndim else 1 for a in range(3)),
+        ng=ng,
+        num_levels=3,
+        periodic=(periodic,) * 3,
+    )
+    mesh = Mesh(geo, field_specs=[FieldSpec("q", 2)], allocate=True)
+    for pick in picks:
+        leaves = mesh.tree.leaves_sorted()
+        mesh.remesh(refine=[leaves[pick % len(leaves)]], derefine=[])
+    for blk in mesh.block_list:
+        blk.interior("q")[...] = c
+    bx = BoundaryExchange(mesh, SimMPI(1))
+    stats = bx.exchange(["q"])
+    levels = {blk.lloc.level for blk in mesh.block_list}
+    assert (stats.prolongations > 0) == (len(levels) > 1)
+    for blk in mesh.block_list:
+        inside = np.ones(blk.shape.array_shape, dtype=bool)
+        for a in range(ndim):
+            x = blk.cell_centers(a)
+            shape = [1, 1, 1]
+            shape[2 - a] = len(x)
+            inside &= ((x > 0.0) & (x < 1.0)).reshape(shape)
+        assert np.all(blk.fields["q"][:, inside] == c), blk.lloc
+    bx.exchange(["q"])
+    for blk in mesh.block_list:
+        assert np.all(blk.fields["q"] == c), blk.lloc

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import ConfigError, RunSpec, Simulation
 from repro.driver.execution import ExecutionConfig
@@ -201,6 +202,34 @@ class TestMetricsRegistry:
         a, b = Histogram([1.0, 2.0]), Histogram([1.0, 3.0])
         with pytest.raises(ValueError):
             a.merge(b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prior=st.lists(st.integers(0, 10**7), max_size=5),
+        value=st.integers(0, 10**9) | st.floats(-1e9, 1e9, allow_nan=False),
+        count=st.integers(0, 40),
+    )
+    def test_observe_count_equals_repeated_observes_property(
+        self, prior, value, count
+    ):
+        """Property: ``observe(v, count=n)`` leaves a histogram as ``n``
+        single observations would: same buckets, count, min and max, and
+        the same sum — exactly for integer values such as byte sizes."""
+        bulk, single = Histogram(), Histogram()
+        for v in prior:
+            bulk.observe(v)
+            single.observe(v)
+        bulk.observe(value, count=count)
+        for _ in range(count):
+            single.observe(value)
+        assert bulk.counts == single.counts
+        assert (bulk.count, bulk.min, bulk.max) == (
+            single.count, single.min, single.max
+        )
+        if isinstance(value, int):
+            assert bulk.sum == single.sum
+        else:
+            assert bulk.sum == pytest.approx(single.sum, rel=1e-12, abs=1e-6)
 
     def test_clear_preserves_identity(self):
         m = MetricsRegistry()

@@ -196,3 +196,104 @@ def test_restrict_conserves_sum_over_random_regions_property(data):
     assert coarse.sum() * 2 ** ndim == pytest.approx(
         fine.sum(), rel=1e-9, abs=1e-5
     )
+
+
+def _batch_shape(data, ndim, extents):
+    nbatch = data.draw(st.integers(1, 4), label="nbatch")
+    ncomp = data.draw(st.integers(1, 3), label="ncomp")
+    return (nbatch, ncomp) + (1,) * (3 - ndim) + tuple(
+        data.draw(st.sampled_from(extents), label=f"extent{a}")
+        for a in range(ndim)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batched_restrict_conserves_each_region_property(data):
+    """Property: restricting a batch of regions conserves every region's
+    total, ``sum(coarse) * 2**ndim == sum(fine)``, and each batch entry is
+    bitwise the restriction of that region alone."""
+    ndim = data.draw(st.integers(1, 3), label="ndim")
+    fine = data.draw(
+        hnp.arrays(
+            np.float64,
+            _batch_shape(data, ndim, [2, 4, 6]),
+            elements=st.floats(-1e6, 1e6, allow_nan=False),
+        ),
+        label="fine",
+    )
+    coarse = restrict(fine, ndim)
+    for b in range(fine.shape[0]):
+        assert coarse[b].sum() * 2 ** ndim == pytest.approx(
+            fine[b].sum(), rel=1e-9, abs=1e-5
+        )
+        assert restrict(fine[b], ndim).tobytes() == coarse[b].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    coeffs=st.lists(
+        st.tuples(*[st.floats(-100, 100, allow_nan=False)] * 4),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_batched_prolong_exact_on_linear_data_property(data, coeffs):
+    """Property: prolongating a batch of regions, each holding its own
+    linear field, reproduces every field at the fine cell centres, and
+    each batch entry is bitwise the prolongation of that region alone."""
+    ndim = data.draw(st.integers(1, 3), label="ndim")
+    extents = tuple(
+        data.draw(st.integers(3, 6), label=f"extent{a}") for a in range(ndim)
+    )
+    shape = (1,) * (3 - ndim) + tuple(reversed(extents))
+    fshape = (1,) * (3 - ndim) + tuple(2 * (m - 2) for m in reversed(extents))
+    centres = np.indices(shape, dtype=float)
+    # Fine cell j sits at coarse coordinate 1 + j // 2 -+ 1/4.
+    fine_centres = np.indices(fshape, dtype=float) / 2 + 0.75
+    coarse = np.stack([
+        (c0 + sum(g * centres[2 - a] for a, g in enumerate(grad[:ndim])))[None]
+        for c0, *grad in coeffs
+    ])
+    expected = np.stack([
+        (c0 + sum(g * fine_centres[2 - a] for a, g in enumerate(grad[:ndim])))[
+            None
+        ]
+        for c0, *grad in coeffs
+    ])
+    fine = prolong(coarse, ndim)
+    np.testing.assert_allclose(fine, expected, rtol=1e-12, atol=1e-10)
+    for b in range(coarse.shape[0]):
+        assert prolong(coarse[b], ndim).tobytes() == fine[b].tobytes()
+
+
+def _reshape_mean_restrict(fine, ndim):
+    """Reference: per-axis two-element means over a reshaped axis."""
+    out = fine
+    for a in range(ndim):
+        axis = out.ndim - 1 - a
+        shape = list(out.shape)
+        shape[axis] //= 2
+        shape.insert(axis + 1, 2)
+        out = out.reshape(shape).mean(axis=axis + 1)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_restrict_is_bitwise_the_reshape_mean_property(data):
+    """Property: the strided pair average equals the reference reshape
+    mean bit for bit, signed zeros and subnormals included."""
+    ndim = data.draw(st.integers(1, 3), label="ndim")
+    fine = data.draw(
+        hnp.arrays(
+            np.float64,
+            _batch_shape(data, ndim, [2, 4]),
+            elements=st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5])
+            | st.floats(-1e300, 1e300, allow_nan=False),
+        ),
+        label="fine",
+    )
+    expected = _reshape_mean_restrict(fine, ndim)
+    assert restrict(fine, ndim).tobytes() == expected.tobytes()
