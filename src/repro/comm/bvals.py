@@ -27,6 +27,7 @@ built in (x3, x2, x1) order.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -75,10 +76,7 @@ class MessageSpec:
     @property
     def cells(self) -> int:
         """Cells transmitted (post-restriction) — the paper's comm metric."""
-        out = 1
-        for lo, hi in self.recv_ranges:
-            out *= hi - lo
-        return out
+        return math.prod(hi - lo for lo, hi in self.recv_ranges)
 
 
 def message_spec(
@@ -348,11 +346,6 @@ class BoundaryExchange:
         interior = tuple(
             (ng, ng + nx[a]) if a < ndim else (0, 1) for a in range(3)
         )
-        faces = [
-            (a, o, tuple(o if b == a else 0 for b in range(3)))
-            for a in range(ndim)
-            for o in (-1, 1)
-        ]
         # Group key -> (rows read, rows written).
         copies = defaultdict(lambda: ([], []))
         restricts = defaultdict(lambda: ([], []))
@@ -389,11 +382,7 @@ class BoundaryExchange:
                 group = copies[(nbr.delta, send, recv)]
                 group[0].append(row[s])
                 group[1].append(c if to_coarse else r)
-                cells = (
-                    (recv[0][1] - recv[0][0])
-                    * (recv[1][1] - recv[1][0])
-                    * (recv[2][1] - recv[2][0])
-                )
+                cells = math.prod(hi - lo for lo, hi in recv)
                 message_cells[cells] += 1
                 src = blocks[row[s]].rank
                 entry = pairs.setdefault((src, blk.rank), [0, 0])
@@ -409,9 +398,11 @@ class BoundaryExchange:
                 restricted += restrict_bs
                 if coarse_offsets and nbr.delta >= 0:
                     regions.append(recv)
-            for a, o, offset in faces:
-                if offset not in present:
-                    physical[(a, o)].append(r)
+            for a in range(ndim):
+                for o in (-1, 1):
+                    face = tuple(o if b == a else 0 for b in range(3))
+                    if face not in present:
+                        physical[(a, o)].append(r)
             if coarse_offsets:
                 for fine in regions:
                     restricts[fine][0].append(r)

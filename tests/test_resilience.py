@@ -70,6 +70,32 @@ def _driver(mode="modeled", kernel_mode="packed", cycles=2, warmup=1):
     return drv
 
 
+class TestExchangeBuilds:
+    @pytest.mark.parametrize("mode", ["modeled", "numeric"])
+    def test_setup_and_restore_build_the_exchange_once_each(
+        self, mode, tmp_path, monkeypatch
+    ):
+        from repro.comm.bvals import BoundaryExchange
+
+        drv = _driver(mode=mode)
+        payload = read_checkpoint(write_checkpoint(tmp_path, drv))
+        builds = []
+        original = BoundaryExchange.rebuild
+
+        def counting(bx):
+            builds.append(bx)
+            return original(bx)
+
+        monkeypatch.setattr(BoundaryExchange, "rebuild", counting)
+        fresh = ParthenonDriver(drv.params, drv.config)
+        assert builds == [fresh.bx]
+        builds.clear()
+        restored = restore_driver(payload)
+        # One build in the set-up of the driver the restore starts from,
+        # one for the restored mesh.
+        assert len(builds) == 2 and builds[-1] is restored.bx
+
+
 # ------------------------------------------------------- byte stability
 
 
