@@ -18,7 +18,7 @@ unavailable but not timed (the unjitted numba loops would measure the
 Python interpreter, not the engine).
 
 Acceptance: >= 2x packed-vs-per-block speedup at block size 16^3 at paper
-scale, and — when numba is importable — >= 5x numba-vs-packed-numpy
+scale, and — when numba is importable — >= 6x numba-vs-packed-numpy
 flux-stage speedup at block size 32^3.
 """
 

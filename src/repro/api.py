@@ -227,7 +227,10 @@ class RunSpec:
         optimizations = config_doc.pop("optimizations", None)
         if optimizations is not None and not isinstance(optimizations, dict):
             raise ConfigError("RunSpec 'config.optimizations' must be an object")
-        check_names("execution", config_doc, wire_fields(ExecutionConfig))
+        # build_execution_config drops the num_shards=1 of older specs.
+        check_names(
+            "execution", config_doc, wire_fields(ExecutionConfig) + ("num_shards",)
+        )
         check_names("simulation", params_doc, wire_fields(SimulationParams))
         params = build_simulation_params(**params_doc)
         config = build_execution_config(
@@ -252,11 +255,10 @@ class RunSpec:
         OptimizationFlags, cycle counts, code version).
 
         Any field that changes the simulated outcome changes the key;
-        ``label`` does not participate, and neither do the option table's
-        ``cache_key=False`` rows: ``checkpoint_every`` (checkpoint cadence
-        is observability, not physics — the bitwise-resume guarantee) and
-        ``num_shards`` (sharded execution is 0-ULP identical to serial,
-        DESIGN §12, so the shard count is a how, not a what).
+        ``label`` does not participate, and neither does the option
+        table's ``cache_key=False`` row, ``checkpoint_every``: checkpoint
+        cadence is observability, not physics (the bitwise-resume
+        guarantee).
         """
         outcome = outcome_config(self.config)
         config_fields = {
@@ -444,17 +446,12 @@ class Simulation:
                 every=self.spec.config.checkpoint_every or 1,
             )
         self.checkpointer = checkpointer
-        try:
-            self._result = self.driver.run(
-                self.spec.ncycles,
-                warmup=self.spec.warmup,
-                checkpointer=checkpointer,
-                on_cycle=on_cycle,
-            )
-        finally:
-            # Shard workers and their shared segments are only needed
-            # while cycles execute; results/trace/mesh stay readable.
-            self.driver.shutdown_shards()
+        self._result = self.driver.run(
+            self.spec.ncycles,
+            warmup=self.spec.warmup,
+            checkpointer=checkpointer,
+            on_cycle=on_cycle,
+        )
         return self._result
 
     def trace(self) -> Trace:
@@ -486,20 +483,12 @@ class Simulation:
             "ndim": p.ndim,
             "num_levels": p.num_levels,
             "num_scalars": p.num_scalars,
-            "num_shards": c.num_shards,
             "refinement_policy": p.refinement_policy,
             "total_ranks": c.total_ranks,
             "warmup": self.spec.warmup,
         }
         if p.block_budget:
             meta["block_budget"] = p.block_budget
-        result = self.result()
-        if result.shards:
-            # Shard topology + per-shard timings (canonical schema v3).
-            # The timings are host wall-clock — the one documented
-            # exception to trace byte-determinism, present only when the
-            # run actually sharded.
-            meta["shards"] = result.shards
         return self._recorder.to_trace(
             meta=meta, metrics=self.driver.metrics.to_dict()
         )

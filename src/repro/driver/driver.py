@@ -109,11 +109,6 @@ class RunResult:
     #: ("numpy" after a fallback, and always "numpy" for per_block or
     #: modeled runs); ``config.kernel_backend`` records the request.
     kernel_backend: str = "numpy"
-    #: Shard-execution summary (DESIGN §12): topology + per-shard stage
-    #: wall seconds from :meth:`ShardedPackKernels.summary`.  Empty for
-    #: serial runs; the ``stage_seconds`` inside are host wall-clock and
-    #: excluded from every bitwise-identity comparison.
-    shards: Dict[str, object] = field(default_factory=dict)
 
 
 class ParthenonDriver:
@@ -193,36 +188,27 @@ class ParthenonDriver:
         #: lazily and only when the mesh's block population changes.
         self._pack: Optional[MeshBlockPack] = None
         self.pack_rebuilds = 0
-        #: Effective kernel backend: the registry resolution of
-        #: ``config.kernel_backend`` (falls back to "numpy" when the
-        #: requested engine is unavailable).  Per-block and modeled runs
-        #: always execute the reference math, hence "numpy".
-        self.kernel_backend = "numpy"
-        self._packed = None
-        #: Shard executor (repro.parallel) when this run fans the packed
-        #: stages out to worker processes; None for serial execution.
-        self._shard_exec = None
-        if numeric and config.kernel_mode == "packed":
-            backend = resolve_backend(config.kernel_backend)
-            self.kernel_backend = backend.name
-            if config.num_shards > 1:
-                from repro.parallel import ShardedPackKernels
-
-                self._shard_exec = ShardedPackKernels(
-                    params=params,
-                    backend_name=self.kernel_backend,
-                    num_shards=config.num_shards,
-                    injector_provider=lambda: self.fault_injector,
-                    cycle_provider=lambda: self.cycle,
-                )
-                self._packed = self._shard_exec
-            else:
-                self._packed = backend.create_kernels(self.pkg)
+        self.create_kernels()
         if numeric and initial_conditions is not None:
             initial_conditions(self.mesh, self.pkg)
         self._update_memory()
 
     # ----------------------------------------------------------- plumbing
+
+    def create_kernels(self) -> None:
+        """(Re)create the packed kernel engine against ``self.pkg``.
+
+        Sets ``kernel_backend``, the effective backend: the registry
+        resolution of ``config.kernel_backend`` (falls back to "numpy"
+        when the requested engine is unavailable).  Per-block and
+        modeled runs always execute the reference math, hence "numpy".
+        """
+        self.kernel_backend = "numpy"
+        self._packed = None
+        if self.numeric and self.config.kernel_mode == "packed":
+            backend = resolve_backend(self.config.kernel_backend)
+            self.kernel_backend = backend.name
+            self._packed = backend.create_kernels(self.pkg)
 
     @property
     def numeric(self) -> bool:
@@ -246,31 +232,19 @@ class ParthenonDriver:
         return self._pack
 
     def _build_pack(self, metrics=None) -> MeshBlockPack:
-        """Build (and, when sharded, rebind) one contiguous pack.
+        """Build one contiguous pack and bind the ghost exchange to it.
 
         The single pack-construction path shared by the lazy cache above
-        and checkpoint restore: sharded runs allocate the new generation
-        through the executor's shared-memory allocator and repartition
-        the chunk grid across workers before the old generation retires.
+        and checkpoint restore.
         """
         pack = build_numeric_pack(
             self.mesh,
             (CONSERVED, BASE, DERIVED),
             flux_field=CONSERVED,
             metrics=metrics,
-            allocator=(
-                None if self._shard_exec is None else self._shard_exec.allocator
-            ),
         )
-        if self._shard_exec is not None:
-            self._shard_exec.rebind(pack)
         self.bx.bind(pack)
         return pack
-
-    def shutdown_shards(self) -> None:
-        """Stop shard workers and release shared memory (idempotent)."""
-        if self._shard_exec is not None:
-            self._shard_exec.shutdown()
 
     @property
     def _exchange_fields(self) -> List[str]:
@@ -431,8 +405,6 @@ class ParthenonDriver:
         self.history = []
         self.mpi.total = type(self.mpi.total)()
         self.mpi.end_cycle()
-        if self._shard_exec is not None:
-            self._shard_exec.reset_timings()
         self._warmup_cycles = measured
 
     def do_cycle(self) -> None:
@@ -935,7 +907,4 @@ class ParthenonDriver:
             },
             metrics=self.metrics.to_dict(),
             kernel_backend=self.kernel_backend,
-            shards=(
-                {} if self._shard_exec is None else self._shard_exec.summary()
-            ),
         )

@@ -92,14 +92,6 @@ class ExecutionConfig:
     #: bitwise-resume guarantee, DESIGN §9 — so this field is excluded
     #: from :meth:`repro.api.RunSpec.cache_key`.
     checkpoint_every: int = 0
-    #: Shard the numeric packed stages across N worker processes backed by
-    #: shared-memory pack storage (DESIGN §12).  1 keeps the serial
-    #: in-process engine.  Sharding is 0-ULP identical to serial by
-    #: construction (``tests/test_shard_parity.py``), so — like
-    #: ``checkpoint_every`` — this field is excluded from
-    #: :meth:`repro.api.RunSpec.cache_key`.  Accepted but inert for
-    #: per_block and modeled runs.
-    num_shards: int = 1
 
     def __post_init__(self) -> None:
         from repro.options import check_fields
@@ -108,10 +100,6 @@ class ExecutionConfig:
         if self.checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
-            )
-        if self.num_shards < 1:
-            raise ValueError(
-                f"num_shards must be >= 1, got {self.num_shards}"
             )
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
@@ -145,10 +133,9 @@ class ExecutionConfig:
 
     def describe(self) -> str:
         nodes = f" x {self.num_nodes} nodes" if self.num_nodes > 1 else ""
-        shards = f" [{self.num_shards} shards]" if self.num_shards > 1 else ""
         if self.is_gpu:
             return (
                 f"{self.num_gpus} GPU - {self.ranks_per_gpu}R{nodes} "
-                f"({self.gpu_spec.name}){shards}"
+                f"({self.gpu_spec.name})"
             )
-        return f"CPU {self.cpu_ranks}R{nodes} ({self.cpu_spec.name}){shards}"
+        return f"CPU {self.cpu_ranks}R{nodes} ({self.cpu_spec.name})"

@@ -69,34 +69,6 @@ def partition_contiguous(costs: Sequence[float], nranks: int) -> List[int]:
     return assignments
 
 
-def partition_lpt(costs: Sequence[float], nshards: int) -> List[int]:
-    """Longest-processing-time-first assignment of ``costs`` to shards.
-
-    Classic LPT greedy: visit items in decreasing cost (ties broken by
-    original index so the result is deterministic), assigning each to the
-    currently least-loaded shard (ties broken by lowest shard id).  Unlike
-    :func:`partition_contiguous` the assignment need not be contiguous
-    along the Morton curve, which buys a tighter makespan bound::
-
-        max_load <= mean_load + max(costs)
-
-    a property the shard-partitioner hypothesis suite pins.  Used by the
-    shared-memory shard executor (``repro.parallel``), where work units
-    are contiguous pack slabs, so locality is already captured inside each
-    unit and the tighter balance wins.
-    """
-    if nshards < 1:
-        raise ValueError(f"nshards must be >= 1, got {nshards}")
-    assignments = [0] * len(costs)
-    loads = [0.0] * nshards
-    order = sorted(range(len(costs)), key=lambda i: (-float(costs[i]), i))
-    for i in order:
-        shard = min(range(nshards), key=lambda s: (loads[s], s))
-        assignments[i] = shard
-        loads[shard] += float(costs[i])
-    return assignments
-
-
 def partition_round_robin(ncosts: int, nranks: int) -> List[int]:
     """Strided block→rank assignment (the locality strawman).
 

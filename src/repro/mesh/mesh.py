@@ -43,6 +43,8 @@ class MeshGeometry:
     def __post_init__(self) -> None:
         if self.ndim not in (1, 2, 3):
             raise ValueError(f"ndim must be 1, 2 or 3, got {self.ndim}")
+        if self.num_levels < 1:
+            raise ValueError(f"num_levels must be >= 1, got {self.num_levels}")
         for a in range(3):
             n, b = self.mesh_size[a], self.block_size[a]
             if a >= self.ndim:

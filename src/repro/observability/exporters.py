@@ -24,16 +24,16 @@ from repro.observability.trace import Span, Trace
 #: v2: ``meta`` gained ``kernel_backend`` — the effective engine the
 #: numeric packed kernels ran on (the backend-registry tentpole).
 #: v3: ``meta`` gained ``num_shards`` (always) and, for sharded runs
-#: only, a ``shards`` section with the shard topology and per-shard
-#: stage wall-clock — the canonical document's sole nondeterministic
-#: field (DESIGN §12); golden comparisons strip it.
+#: only, a host-timed ``shards`` section (DESIGN §12).
 #: v4: ``meta`` gained ``refinement_policy`` (always) and
 #: ``block_budget`` (budget-policy runs only); ``metrics`` gained the
 #: per-cycle refinement counters (``refine_flags``, ``derefine_flags``,
 #: ``derefine_blocked_gap``) and the ``refinement_indicator_max`` gauge
 #: — the policy-registry tentpole (DESIGN §14).
+#: v5: ``meta.num_shards`` and ``meta.shards`` removed with sharded
+#: execution (DESIGN §12); every value is simulated again.
 CANONICAL_SCHEMA = "repro.trace"
-CANONICAL_SCHEMA_VERSION = 4
+CANONICAL_SCHEMA_VERSION = 5
 
 
 # ----------------------------------------------------------- canonical

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -145,13 +146,6 @@ OPTIONS: Tuple[Option, ...] = (
            flag="--kernel-mode", commands=CONFIGURE + ("trace",),
            help="one fused launch per MeshBlockPack, or one per block "
            "(the launch-overhead ablation)"),
-    Option("num_shards", C, int, section="platform", key="num_shards",
-           render="non_default",
-           flag="--shards", commands=CONFIGURE + ("run", "trace"),
-           help="run numeric packed stages across N shared-memory worker "
-           "processes (bitwise-identical to serial; inert outside "
-           "numeric+packed)",
-           cache_key=False),
     Option("kernel_backend", C, str, KNOWN_BACKENDS,
            section="platform", key="kernel_backend", render="non_default",
            flag="--kernel-backend", commands=CONFIGURE + ("trace",),
@@ -271,6 +265,14 @@ def build_execution_config(
     ``optimizations`` may be an :class:`OptimizationFlags` or a plain
     dict of flag names (routed through :func:`build_optimization_flags`).
     """
+    # Specs stored before sharded execution was removed carry
+    # num_shards=1, which changes nothing; any other count cannot run.
+    shards = options.pop("num_shards", 1)
+    if type(shards) is not int or shards != 1:
+        raise ConfigError(
+            f"num_shards={shards!r}: sharded execution was removed; "
+            "runs are single-process (drop num_shards)"
+        )
     valid = [f.name for f in dataclasses.fields(C) if f.name != "optimizations"]
     check_names("execution", options, valid)
     if isinstance(optimizations, dict):
@@ -284,11 +286,21 @@ def build_execution_config(
 
 
 def build_simulation_params(**options: object) -> SimulationParams:
-    """Validating builder for :class:`SimulationParams`."""
+    """Validating builder for :class:`SimulationParams`.
+
+    The mesh geometry is built here once, so a shape the mesh would
+    reject fails before a run is queued.
+    """
     check_names("simulation", options, [f.name for f in dataclasses.fields(P)])
     params = SimulationParams(
         **{name: check(OPTION[name], value) for name, value in options.items()}
     )
+    try:
+        params.geometry()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not (math.isfinite(params.cfl) and params.cfl > 0.0):
+        raise ConfigError(f"cfl must be finite and > 0, got {params.cfl!r}")
     if params.refinement_policy == "block_budget" and params.block_budget < 1:
         raise ConfigError(
             "refinement_policy 'block_budget' needs block_budget >= 1 "

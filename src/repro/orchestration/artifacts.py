@@ -8,7 +8,7 @@ campaign directory without re-running anything.  The document is
 wall-clock timestamps, so re-executing an identical spec reproduces the
 artifact byte-for-byte (the resume test relies on this).
 
-Schema (``schema_version`` 6; v2 added the ``metrics`` section — the
+Schema (``schema_version`` 7; v2 added the ``metrics`` section — the
 :class:`repro.observability.MetricsRegistry` snapshot with counters,
 gauges, histograms and the per-cycle counter series; v3 added the
 *optional* ``resilience`` section, present only when a point resumed
@@ -16,19 +16,16 @@ from a checkpoint or ran with a fault plan armed; v4 added backend
 identity — ``config.kernel_backend`` is the *requested* engine and the
 ok-document's top-level ``kernel_backend`` the *effective* one, which
 differ exactly when the run fell back to numpy; v5 added
-``config.num_shards`` plus the *optional* ``parallel`` section — shard
-topology and per-shard stage timings, present only for sharded runs.
-``parallel.stage_seconds`` holds host wall-clock measured inside the
-shard workers: the one documented exception to the no-wall-clock rule
-above, which is why it lives in its own optional section and why the
-simulated quantities stay byte-reproducible — sharding is 0-ULP
-identical to serial execution, DESIGN §12; v6 added the
-refinement-policy axis — ``params.refinement_policy`` and
-``params.block_budget`` — alongside the per-cycle refinement counters
-that now ride in ``metrics``, DESIGN §14)::
+``config.num_shards`` and the optional host-timed ``parallel`` section
+for sharded runs; v6 added the refinement-policy axis —
+``params.refinement_policy`` and ``params.block_budget`` — alongside
+the per-cycle refinement counters that now ride in ``metrics``, DESIGN
+§14; v7 removed ``config.num_shards`` and ``parallel`` with sharded
+execution, DESIGN §12, so the document again holds no host wall-clock
+value)::
 
     {
-      "schema_version": 6,
+      "schema_version": 7,
       "status": "ok" | "error",
       "cache_key": "<sha256 of the spec's canonical identity>",
       "code_version": "<repro.__version__>",
@@ -65,12 +62,6 @@ that now ride in ``metrics``, DESIGN §14)::
         "resumed_from_cycle": N,                 # retry resumed here
         "faults": {"checks": {site: N}, "fired": {site: N}}
       },
-      # optional (v5) — sharded (num_shards > 1) points only:
-      "parallel": {
-        "topology": {num_shards, generation, units, blocks, cost},
-        "transport": "process" | "thread",
-        "stage_seconds": {shard: {stage: s}}     # host wall-clock!
-      }
     }
 """
 
@@ -88,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.api import RunSpec
     from repro.driver.driver import RunResult
 
-ARTIFACT_SCHEMA_VERSION = 6
+ARTIFACT_SCHEMA_VERSION = 7
 
 
 def _spec_header(spec: "RunSpec") -> dict:
@@ -118,7 +109,6 @@ def _spec_header(spec: "RunSpec") -> dict:
             "mode": c.mode,
             "kernel_mode": c.kernel_mode,
             "kernel_backend": c.kernel_backend,
-            "num_shards": c.num_shards,
             "total_ranks": c.total_ranks,
             "describe": c.describe(),
         },
@@ -162,10 +152,6 @@ def result_to_artifact(
         },
         metrics=dict(result.metrics),
     )
-    if result.shards:
-        # v5 optional section; stage_seconds is worker wall-clock — the
-        # schema's sole nondeterministic field (see module docstring).
-        doc["parallel"] = dict(result.shards)
     return doc
 
 

@@ -176,7 +176,6 @@ def restore_driver(
     from repro.comm.bvals import BoundaryExchange
     from repro.comm.flux_correction import FluxCorrection
     from repro.driver.driver import ParthenonDriver
-    from repro.kernels.backends import resolve_backend
     if payload.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(
             f"checkpoint schema_version {payload.get('schema_version')!r}; "
@@ -190,25 +189,16 @@ def restore_driver(
     driver.bx = BoundaryExchange(driver.mesh, driver.mpi, metrics=driver.metrics)
     driver.fc = FluxCorrection(driver.mesh, driver.mpi)
     driver.fc.set_neighbor_table(driver.bx.neighbor_table)
-    # Recreate the kernel engine against the *restored* package via the
-    # registry, re-resolving availability in this process (the effective
-    # backend may differ from the checkpointing process's).  Sharded runs
-    # keep the executor ``__init__`` already wired (its provider closures
-    # read the driver's injector/cycle attributes at call time, so the
-    # restored state is picked up automatically).
-    if driver._shard_exec is None:
-        driver._packed = None
-        driver.kernel_backend = "numpy"
-        if driver.numeric and driver.config.kernel_mode == "packed":
-            backend = resolve_backend(driver.config.kernel_backend)
-            driver.kernel_backend = backend.name
-            driver._packed = backend.create_kernels(driver.pkg)
+    # Recreate the kernel engine against the *restored* package,
+    # re-resolving availability in this process (the effective backend
+    # may differ from the checkpointing process's).
+    driver.create_kernels()
     driver._pack = None
     if driver.use_packed and payload.get("pack_valid"):
-        # Reconstruct the pack the blocks aliased at save time — through
-        # ``_build_pack`` so sharded restores allocate shared memory and
-        # rebind workers.  No metrics and no pack_rebuilds bump: this
-        # re-creates existing state, it is not a new rebuild event.
+        # Reconstruct the pack the blocks aliased at save time through
+        # ``_build_pack``, which also rebinds the ghost exchange.  No
+        # metrics and no pack_rebuilds bump: this re-creates existing
+        # state, it is not a new rebuild event.
         driver._pack = driver._build_pack(metrics=None)
     return driver
 

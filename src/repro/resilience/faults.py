@@ -26,8 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 #: Every place the toolkit can inject a fault.  Sites are threaded
 #: through the driver (kernel launches, ghost pack/unpack, remesh),
-#: the campaign worker (whole-worker crash, artifact persistence), and
-#: the shard executor (a packed-stage dispatch to shard workers).
+#: and the campaign worker (whole-worker crash, artifact persistence).
 FAULT_SITES: Tuple[str, ...] = (
     "kernel_launch",
     "ghost_pack",
@@ -35,7 +34,6 @@ FAULT_SITES: Tuple[str, ...] = (
     "remesh",
     "artifact_write",
     "campaign_worker",
-    "shard_worker",
 )
 
 

@@ -13,7 +13,7 @@ launch level).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,16 +55,11 @@ class MeshBlockPack:
         blocks: Sequence[MeshBlock],
         field_names: Sequence[str],
         contiguous: bool = False,
-        allocator: Optional[Callable[[Tuple[int, ...]], np.ndarray]] = None,
     ):
         if not blocks:
             raise ValueError("a pack needs at least one block")
         self.blocks = list(blocks)
         self.field_names = tuple(field_names)
-        #: Storage allocator for contiguous mode: shape -> zeroed float64
-        #: array.  Defaults to np.zeros; the shard executor substitutes a
-        #: shared-memory allocator so worker processes can map the pack.
-        self._allocator = allocator if allocator is not None else np.zeros
         shapes = {b.shape.array_shape for b in self.blocks}
         if len(shapes) != 1:
             raise ValueError(f"blocks in a pack must share a shape, got {shapes}")
@@ -80,7 +75,7 @@ class MeshBlockPack:
         #: Pack-owned face-flux storage per field: axis -> (nblocks, ...) array.
         self.flux_data: Dict[str, List[Optional[np.ndarray]]] = {}
         if contiguous:
-            self.data = self._allocator(
+            self.data = np.zeros(
                 (len(self.blocks), ncomp) + self.blocks[0].shape.array_shape
             )
             self.gather()
@@ -175,7 +170,7 @@ class MeshBlockPack:
                 for ax in range(3)
             ]
             per_axis.append(
-                self._allocator(
+                np.zeros(
                     (len(self.blocks), spec.ncomp, dims[2], dims[1], dims[0])
                 )
             )
@@ -229,7 +224,6 @@ def build_numeric_pack(
     field_names: Sequence[str],
     flux_field: Optional[str] = None,
     metrics=None,
-    allocator: Optional[Callable[[Tuple[int, ...]], np.ndarray]] = None,
 ) -> MeshBlockPack:
     """One contiguous, view-adopted pack over every block of the mesh.
 
@@ -239,12 +233,8 @@ def build_numeric_pack(
     coherent state.  A :class:`repro.observability.MetricsRegistry` passed
     as ``metrics`` records each rebuild and the pack's population (rebuild
     frequency is the remesh-churn signal the pack cache exists to bound).
-    ``allocator`` overrides where the contiguous storage lives (the shard
-    executor passes its shared-memory allocator).
     """
-    pack = MeshBlockPack(
-        mesh.block_list, field_names, contiguous=True, allocator=allocator
-    )
+    pack = MeshBlockPack(mesh.block_list, field_names, contiguous=True)
     pack.adopt_blocks()
     if flux_field is not None:
         pack.adopt_fluxes(flux_field)

@@ -58,6 +58,14 @@ class TestRunSpecRoundTrips:
         assert clone.config == spec.config
         assert clone.cache_key() == spec.cache_key()
 
+    def test_deck_num_shards_is_an_unknown_key(self):
+        """Decks rendered for sharded runs carry ``num_shards = N``; the
+        deck reader ignores it like any key outside the option table."""
+        deck = small_spec().to_deck()
+        for extra in ("num_shards = 2", "no_such_key = 2"):
+            stored = deck.replace("<platform>", f"<platform>\n{extra}")
+            assert RunSpec.from_deck(stored).cache_key() == small_spec().cache_key()
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "spec.vibe"
         path.write_text(small_spec().to_deck())
@@ -142,6 +150,36 @@ class TestBuilders:
     def test_range_errors_still_config_errors(self):
         with pytest.raises(ConfigError):
             build_execution_config(backend="cpu", cpu_ranks=0)
+
+    @pytest.mark.parametrize(
+        "options,message",
+        [
+            ({"mesh_size": 20, "block_size": 8}, "not a multiple of block size"),
+            ({"num_levels": 0}, "num_levels must be >= 1"),
+            ({"mesh_size": 0}, "must be positive"),
+            ({"mesh_size": 24, "block_size": 6, "num_levels": 2},
+             "multiple of 4"),
+            ({"cfl": 0.0}, "cfl must be finite and > 0"),
+            ({"cfl": -0.5}, "cfl must be finite and > 0"),
+            ({"cfl": float("nan")}, "cfl must be finite and > 0"),
+            ({"cfl": float("inf")}, "cfl must be finite and > 0"),
+        ],
+    )
+    def test_unrunnable_mesh_or_cfl_is_a_config_error(self, options, message):
+        with pytest.raises(ConfigError, match=message):
+            build_simulation_params(**options)
+        with pytest.raises(ConfigError, match=message):
+            RunSpec.from_json({"params": options, "config": {}})
+
+    def test_num_shards_one_is_dropped(self):
+        """Specs stored before sharded execution was removed carry
+        ``num_shards: 1``; it still builds the default config."""
+        assert build_execution_config(num_shards=1) == build_execution_config()
+
+    @pytest.mark.parametrize("shards", [0, 2, 4, True, "1"])
+    def test_other_shard_counts_are_config_errors(self, shards):
+        with pytest.raises(ConfigError, match="sharded execution was removed"):
+            build_execution_config(num_shards=shards)
 
     def test_optimizations_dict_and_typo(self):
         cfg = build_execution_config(
@@ -244,6 +282,40 @@ class TestJsonWire:
             doc.update(sabotage)
             with pytest.raises(ConfigError, match="bogus"):
                 RunSpec.from_json(doc)
+
+    def test_stored_spec_with_num_shards_still_loads(self):
+        """A document ``to_json`` wrote while ``num_shards`` existed loads
+        to the same spec, under the same cache key."""
+        doc = {
+            "params": {
+                "ndim": 2, "mesh_size": 32, "block_size": 8, "num_levels": 2,
+                "num_scalars": 1, "reconstruction": "weno5", "riemann": "hll",
+                "cfl": 0.4, "refine_every": 1, "derefine_gap": 10,
+                "load_balance_every": 1, "refine_tol": 0.15,
+                "derefine_tol": 0.03, "refinement_policy": "first_derivative",
+                "block_budget": 0, "wavefront_speed": 0.01,
+                "wavefront_width": 0.014, "wavefront_r0": 0.11,
+            },
+            "config": {
+                "backend": "cpu", "num_gpus": 1, "ranks_per_gpu": 1,
+                "cpu_ranks": 8, "num_nodes": 1, "mode": "modeled",
+                "kernel_mode": "packed", "kernel_backend": "numpy",
+                "checkpoint_every": 0, "num_shards": 1,
+            },
+            "ncycles": 2,
+            "warmup": 1,
+        }
+        spec = RunSpec.from_json(doc)
+        assert spec == small_spec(
+            config=ExecutionConfig(backend="cpu", cpu_ranks=8), label=""
+        )
+        assert spec.cache_key() == (
+            "c465fd0924d85251b138f566813a7e1dbc4aedcf7f1f74f70e70cc22aa260d30"
+        )
+        assert "num_shards" not in spec.to_json()["config"]
+        doc["config"]["num_shards"] = 2
+        with pytest.raises(ConfigError, match="sharded execution was removed"):
+            RunSpec.from_json(doc)
 
     def test_bad_types_become_config_errors(self):
         with pytest.raises(ConfigError):

@@ -136,7 +136,7 @@ class TestExporters:
         assert text.endswith("\n")
         doc = json.loads(text)
         assert doc["schema"] == "repro.trace"
-        assert doc["schema_version"] == 4
+        assert doc["schema_version"] == 5
         assert doc["meta"]["kernel_mode"] == "packed"
         assert doc["regions"]["Step"]["kernel"] == 0.5
         assert doc["kernels"]["CalculateFluxes"] == 0.5
@@ -296,7 +296,7 @@ class TestDriverIntegration:
     def test_artifact_carries_metrics(self):
         sim = Simulation(RunSpec(**MODELED))
         art = sim.artifact()
-        assert art["schema_version"] == 6
+        assert art["schema_version"] == 7
         assert art["metrics"]["counters"]["kernel_launches"] > 0
         json.dumps(art)
 

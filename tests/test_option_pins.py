@@ -99,10 +99,6 @@ PINS = {
         "f74942ceb6e1dcb54022dbab18c32cc0b4d638d18965dd76e4e8739501a90aa7",
         "f9ecd7c2ec4ae93a86dc741cbcbafe8dc88659a8f5f078918078ce0c21895cf9",
     ),
-    "num_shards=2": (
-        "d9c0b89dbb14058046177f82e3ec937bd182b2ac528e0d9dc04738bc23c19e7f",
-        "5f4820232cb09cd824945b64ea1a0662cdc1ea11e02ee2c582c9202042e762b6",
-    ),
     "refinement_policy=second_derivative": (
         "fc6b4ca13755878d04381e97fbc9537547d360a9fa3c789c27374989a359b0b4",
         "21089a48eff6e6630feb838ec185e59259a8b533f4f4ef04fcb476e0fc45c388",
@@ -155,7 +151,6 @@ SPECS = {
     ),
     "default": RunSpec,
     "kernel_backend=numba": lambda: _small(kernel_backend="numba"),
-    "num_shards=2": lambda: _small(mode="numeric", num_shards=2),
     "backend=cpu": lambda: _small(backend="cpu", cpu_ranks=48),
     "block_budget": _budget,
     "refinement_policy=second_derivative": _policy,

@@ -128,7 +128,7 @@ class TestTable:
         )
         config = build_execution_config(
             backend="cpu", cpu_ranks=48, num_nodes=2, mode="numeric",
-            kernel_mode="per_block", kernel_backend="numba", num_shards=3,
+            kernel_mode="per_block", kernel_backend="numba",
             checkpoint_every=4,
         )
         assert params_from_input(render_input(params, config)) == (
@@ -147,7 +147,6 @@ class TestTable:
     def test_override_flags_are_validated(self, tmp_path):
         deck = tmp_path / "mini.in"
         deck.write_text(MINI.to_deck())
-        assert cli.main(["run", str(deck), "--shards", "0"]) == 2
         assert cli.main(["run", str(deck), "--checkpoint-every", "-1"]) == 2
         assert cli.main([
             "run", str(deck), "--refinement-policy", "block_budget",

@@ -42,7 +42,7 @@ class TestArtifacts:
         spec = RunSpec(params=BASE, config=CONFIG, ncycles=2, warmup=1, label="x")
         art = result_to_artifact(spec, Simulation(spec).run())
         assert art["status"] == "ok"
-        assert art["schema_version"] == 6
+        assert art["schema_version"] == 7
         assert art["cache_key"] == spec.cache_key()
         assert art["fom"] > 0
         assert art["timings"]["wall_seconds"] > 0

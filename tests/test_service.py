@@ -324,6 +324,17 @@ class TestServiceEndToEnd:
             resp = client.request("POST", "/runs", doc=None)
             assert resp.status == 400
 
+    def test_geometry_the_mesh_rejects_is_400(self, tmp_path):
+        """A shape the mesh cannot build is refused at submission, not
+        queued to fail in the driver."""
+        bad = {"params": {"mesh_size": 20, "block_size": 8}, "config": {}}
+        with ServerThread(tmp_path, workers=1) as client:
+            resp = client.submit(bad)
+            assert resp.status == 400
+            assert resp.json["error"] == "invalid_spec"
+            assert "not a multiple of block size 8" in resp.json["message"]
+            assert not any(client.stats().json["queue"].values())
+
     def test_unknown_run_is_404(self, tmp_path):
         with ServerThread(tmp_path, workers=1) as client:
             assert client.status("deadbeef").status == 404
