@@ -1,5 +1,5 @@
 """Packed vs per-block numeric kernel execution (the Fig. 1c mechanism),
-now swept across every available kernel backend.
+swept across the installed kernel backends.
 
 The paper attributes the GPU's collapse at small MeshBlock sizes to per-block
 kernel-launch overhead, which Parthenon's MeshBlockPack amortizes by sweeping
@@ -13,9 +13,9 @@ machine-readable ``BENCH_kernels.json`` perf-trajectory file at the repo
 root: one entry per (engine, block size) with the flux-stage time, the
 speedup against the packed numpy reference, and the cell throughput.
 
-Backends whose runtime dependency is missing are listed in the JSON as
-unavailable but not timed (the unjitted numba loops would measure the
-Python interpreter, not the engine).
+When numba is not installed the JSON records it as
+``"unmeasured (not installed)"`` and does not time it (the unjitted
+numba loops would measure the Python interpreter, not the engine).
 
 Acceptance: >= 2x packed-vs-per-block speedup at block size 16^3 at paper
 scale, and — when numba is importable — >= 6x numba-vs-packed-numpy
@@ -25,8 +25,9 @@ flux-stage speedup at block size 32^3.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -36,11 +37,8 @@ from repro.comm.bvals import BoundaryExchange
 from repro.comm.mpi import SimMPI
 from repro.core.report import render_table
 from repro.driver.params import SimulationParams
-from repro.kernels.backends import (
-    available_backends,
-    backend_names,
-    get_backend,
-)
+from repro.kernels.backends import build_kernels
+from repro.kernels.backends.numba_backend import NUMBA_AVAILABLE
 from repro.mesh.mesh import Mesh
 from repro.solver.burgers import BASE, BurgersPackage, CONSERVED, DERIVED
 from repro.solver.initial_conditions import gaussian_blob
@@ -60,6 +58,9 @@ MIN_SPEEDUP_B16 = 1.2 if SCALE["quick"] else 2.0
 MIN_NUMBA_SPEEDUP_B32 = 6.0
 
 BENCH_JSON = bench_json_path("kernels")
+
+#: The backends this host can time.
+MEASURED = ("numpy", "numba") if NUMBA_AVAILABLE else ("numpy",)
 
 
 def _setup(block_size: int):
@@ -89,7 +90,7 @@ def _measure(block_size: int):
     """Flux-stage times for one block size.
 
     Returns ``(times, worst)``: ``times`` maps ``per_block`` and every
-    available backend name to its best-of-REPS flux-stage seconds;
+    measured backend name to its best-of-REPS flux-stage seconds;
     ``worst`` is the worst per-engine flux deviation from the per-block
     reference.
     """
@@ -108,10 +109,7 @@ def _measure(block_size: int):
     pack = build_numeric_pack(
         mesh, (CONSERVED, BASE, DERIVED), flux_field=CONSERVED
     )
-    engines = {
-        name: get_backend(name).create_kernels(pkg)
-        for name in available_backends()
-    }
+    engines = {name: build_kernels(name, pkg)[0] for name in MEASURED}
 
     def packed(engine):
         return lambda: engine.calculate_fluxes(pack)
@@ -146,8 +144,14 @@ def _write_bench_json(entries: list) -> None:
         "ndim": 3,
         "reps": REPS,
         "timing": "min over reps of one CalculateFluxes sweep (seconds)",
+        "host": (
+            f"{platform.machine()}, {os.cpu_count()} cpus, "
+            f"{platform.python_implementation()} {platform.python_version()}, "
+            f"numpy {np.__version__}"
+        ),
         "backends": {
-            name: name in available_backends() for name in backend_names()
+            "numpy": True,
+            "numba": NUMBA_AVAILABLE or "unmeasured (not installed)",
         },
         "entries": entries,
     }
@@ -200,7 +204,7 @@ def test_packed_flux_speedup(benchmark, save_report):
             f"packed CalculateFluxes speedup at 16^3 is {speedups[16]:.2f}x, "
             f"need >= {MIN_SPEEDUP_B16}x"
         )
-        if "numba" in available_backends() and not SCALE["quick"]:
+        if NUMBA_AVAILABLE and not SCALE["quick"]:
             assert numba_speedups[32] >= MIN_NUMBA_SPEEDUP_B32, (
                 f"numba flux-stage speedup at 32^3 is "
                 f"{numba_speedups[32]:.2f}x over packed numpy, "

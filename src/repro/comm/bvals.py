@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.buffers import BufferCache, BufferKey, CacheStats
+from repro.comm.buffers import CacheStats, cache_stats
 from repro.comm.mpi import SimMPI
 from repro.comm.topology import NeighborInfo, build_neighbor_table
 from repro.mesh.logical_location import LogicalLocation
@@ -62,56 +62,6 @@ def _key(rows: Sequence[int], ranges: Sequence[Range]) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class MessageSpec:
-    """Geometry of one boundary message."""
-
-    key: BufferKey
-    delta: int
-    send_ranges: Tuple[Range, Range, Range]
-    recv_ranges: Tuple[Range, Range, Range]
-    to_coarse: bool  # receiver places data in its coarse buffer
-    restrict_before_send: bool
-
-    @property
-    def cells(self) -> int:
-        """Cells transmitted (post-restriction) — the paper's comm metric."""
-        return math.prod(hi - lo for lo, hi in self.recv_ranges)
-
-
-def message_spec(
-    nx: Tuple[int, int, int],
-    ng: int,
-    ndim: int,
-    nbr: NeighborInfo,
-    receiver: LogicalLocation,
-) -> MessageSpec:
-    """Compute sender/receiver cell ranges for one neighbor message.
-
-    ``nbr.offset`` points from the receiver toward the sender.  ``delta`` is
-    the sender's level minus the receiver's.  The range geometry depends only
-    on the offset, the level delta and the coordinate parities, so it is
-    memoized — modeled runs rebuild hundreds of thousands of links per cycle.
-    """
-    send, recv, to_coarse, restrict_bs = _message_geometry(
-        nx,
-        ng,
-        ndim,
-        nbr.offset,
-        nbr.delta,
-        tuple(nbr.nloc.coord(a) & 1 for a in range(3)),
-        tuple(receiver.coord(a) & 1 for a in range(3)),
-    )
-    return MessageSpec(
-        key=BufferKey(sender=nbr.nloc, receiver=receiver, offset=nbr.offset),
-        delta=nbr.delta,
-        send_ranges=send,
-        recv_ranges=recv,
-        to_coarse=to_coarse,
-        restrict_before_send=restrict_bs,
-    )
-
-
 @lru_cache(maxsize=65536)
 def _message_geometry(
     nx: Tuple[int, int, int],
@@ -121,7 +71,17 @@ def _message_geometry(
     delta: int,
     sender_parity: Tuple[int, int, int],
     receiver_parity: Tuple[int, int, int],
-):
+) -> Tuple[Tuple[Range, Range, Range], Tuple[Range, Range, Range], bool, bool]:
+    """Sender and receiver cell ranges of one neighbor message, whether it
+    lands in the receiver's coarse store, and whether the sender restricts
+    it before sending.
+
+    ``offset`` points from the receiver toward the sender.  ``delta`` is
+    the sender's level minus the receiver's; the parities are each
+    block's logical coordinates mod 2.  The geometry depends only on
+    these, so it is memoized — modeled runs rebuild hundreds of
+    thousands of links per cycle.
+    """
     hg = ng // 2
     send: List[Range] = []
     recv: List[Range] = []
@@ -292,7 +252,6 @@ class BoundaryExchange:
         mesh: Mesh,
         mpi: SimMPI,
         bytes_per_value: int = 8,
-        cache_seed: int = 0,
         metrics=None,
     ) -> None:
         self.mesh = mesh
@@ -301,7 +260,6 @@ class BoundaryExchange:
         #: Optional :class:`repro.observability.MetricsRegistry`; when
         #: attached, per-message ghost-traffic distributions are observed.
         self.metrics = metrics
-        self.cache = BufferCache(seed=cache_seed)
         self.neighbor_table: Dict[LogicalLocation, List[NeighborInfo]] = {}
         #: Pack whose storage the numeric exchange reads and writes; see
         #: :meth:`bind`.
@@ -353,7 +311,7 @@ class BoundaryExchange:
         physical = defaultdict(list)
         pairs: Dict[Tuple[int, int], List[int]] = {}
         message_cells: Counter = Counter()
-        keys_with_sizes: Dict[BufferKey, int] = {}
+        nbuffers = 0
         per_rank: Dict[int, int] = {r: 0 for r in range(self.mpi.nranks)}
         restricted = 0
         ncoarse = 0
@@ -373,6 +331,7 @@ class BoundaryExchange:
                     if o not in present
                 ]
             rparity = (blk.lloc.lx1 & 1, blk.lloc.lx2 & 1, blk.lloc.lx3 & 1)
+            nbuffers += len(nbrs)
             for nbr in nbrs:
                 s = nbr.nloc
                 send, recv, to_coarse, restrict_bs = _message_geometry(
@@ -388,11 +347,8 @@ class BoundaryExchange:
                 entry = pairs.setdefault((src, blk.rank), [0, 0])
                 entry[0] += 1
                 entry[1] += cells
-                size = cells * ncomp * bpv
-                keys_with_sizes[
-                    BufferKey(sender=s, receiver=blk.lloc, offset=nbr.offset)
-                ] = size
                 if src != blk.rank:
+                    size = cells * ncomp * bpv
                     per_rank[src] += size
                     per_rank[blk.rank] += size
                 restricted += restrict_bs
@@ -414,7 +370,7 @@ class BoundaryExchange:
         self._agg_restricted_msgs = restricted
         self._agg_prolongs = sum(len(rows) for rows, _ in prolongs.values())
         self._agg_restricts = sum(len(rows) for rows, _ in restricts.values())
-        self._agg_nbuffers = len(keys_with_sizes)
+        self._agg_nbuffers = nbuffers
         self.plan = ExchangePlan(
             copies=[
                 (delta == 1, delta == -1, _key(src, send), _key(dst, recv))
@@ -442,18 +398,13 @@ class BoundaryExchange:
         self._coarse = {}
         if self.pack is not None and self.pack.blocks != blocks:
             self.pack = None
-        cache_stats = self.cache.initialize(keys_with_sizes)
-        cache_stats_views = self.cache.rebuild_views()
-        cache_stats.views_rebuilt = cache_stats_views.views_rebuilt
-        cache_stats.h2d_copies = cache_stats_views.h2d_copies
-        cache_stats.metadata_bytes = cache_stats_views.metadata_bytes
         # Persistent send+receive buffers registered per rank for remote
         # links (the MPI part of Fig. 10's memory breakdown).
         self.mpi.set_registered_buffer_bytes(per_rank)
         return RebuildStats(
             nblocks=self.mesh.num_blocks,
-            nbuffers=len(keys_with_sizes),
-            cache=cache_stats,
+            nbuffers=nbuffers,
+            cache=cache_stats(nbuffers),
         )
 
     def _physical_keys(self, rows: List[int], a: int, o: int):
@@ -485,13 +436,15 @@ class BoundaryExchange:
         prolongs = 0
         restricts = 0
         nbuffers = 0
+        noffsets = len(neighbor_offsets(ndim))
         per_rank: Dict[int, int] = {r: 0 for r in range(self.mpi.nranks)}
         block_at = self.mesh.blocks_by_loc
         for blk in self.mesh.block_list:
             rparity = (blk.lloc.lx1 & 1, blk.lloc.lx2 & 1, blk.lloc.lx3 & 1)
             coarse_offsets = set()
             fine_or_same = 0
-            for nbr in self.neighbor_table[blk.lloc]:
+            nbrs = self.neighbor_table[blk.lloc]
+            for nbr in nbrs:
                 s = nbr.nloc
                 _, recv, _, restrict_bs = _message_geometry(
                     nx,
@@ -528,21 +481,21 @@ class BoundaryExchange:
                     per_rank[blk.rank] += size
             if coarse_offsets:
                 prolongs += len(coarse_offsets)
-                restricts += 1 + fine_or_same
+                # The interior, each same-level or finer message's ghost
+                # region, and each physical ghost slab (an offset with no
+                # neighbor) are restricted into the coarse store.
+                missing = noffsets - len({nbr.offset for nbr in nbrs})
+                restricts += 1 + fine_or_same + missing
         self._agg_pairs = pairs
         self._agg_restricted_msgs = restricted
         self._agg_prolongs = prolongs
         self._agg_restricts = restricts
         self._agg_nbuffers = nbuffers
-        cache_stats = self.cache.initialize_counts(nbuffers)
-        cache_stats.views_rebuilt = nbuffers
-        cache_stats.h2d_copies = nbuffers
-        cache_stats.metadata_bytes = (
-            nbuffers * self.cache.METADATA_BYTES_PER_BUFFER
-        )
         self.mpi.set_registered_buffer_bytes(per_rank)
         return RebuildStats(
-            nblocks=self.mesh.num_blocks, nbuffers=nbuffers, cache=cache_stats
+            nblocks=self.mesh.num_blocks,
+            nbuffers=nbuffers,
+            cache=cache_stats(nbuffers),
         )
 
     # -------------------------------------------------------------- phases
@@ -677,7 +630,6 @@ class BoundaryExchange:
                 for source, ghost in plan.prolongs:
                     f[ghost] = prolong(coarse[source], ndim)
             self._payloads = []
-        self.cache.mark_stale()
         return stats
 
     def exchange(self, field_names: Sequence[str]) -> ExchangeStats:

@@ -56,7 +56,7 @@ from repro.resilience.faults import FaultInjector, NULL_INJECTOR
 from repro.mesh.loadbalance import RedistributionPlan, balance
 from repro.mesh.mesh import Mesh
 from repro.mesh.refinement import SphericalWavefrontTagger, build_policy
-from repro.kernels.backends import resolve_backend
+from repro.kernels.backends import build_kernels
 from repro.solver.advance import RK2_STAGES
 from repro.solver.burgers import (
     BASE,
@@ -198,17 +198,17 @@ class ParthenonDriver:
     def create_kernels(self) -> None:
         """(Re)create the packed kernel engine against ``self.pkg``.
 
-        Sets ``kernel_backend``, the effective backend: the registry
-        resolution of ``config.kernel_backend`` (falls back to "numpy"
-        when the requested engine is unavailable).  Per-block and
+        Sets ``kernel_backend``, the effective backend: the engine
+        :func:`build_kernels` built for ``config.kernel_backend`` ("numpy"
+        when numba was requested but is not installed).  Per-block and
         modeled runs always execute the reference math, hence "numpy".
         """
         self.kernel_backend = "numpy"
         self._packed = None
         if self.numeric and self.config.kernel_mode == "packed":
-            backend = resolve_backend(self.config.kernel_backend)
-            self.kernel_backend = backend.name
-            self._packed = backend.create_kernels(self.pkg)
+            self._packed, self.kernel_backend = build_kernels(
+                self.config.kernel_backend, self.pkg
+            )
 
     @property
     def numeric(self) -> bool:

@@ -76,12 +76,12 @@ class ExecutionConfig:
     #: Section II-C); "per_block" loops blocks one kernel call each — the
     #: launch-overhead ablation.  Modeled runs use it for launch accounting.
     kernel_mode: str = "packed"
-    #: Which registered engine executes the packed numeric kernels:
-    #: "numpy" (vectorized reference), "numba" (JIT fused stencils), or
-    #: "cupy" (GPU arrays).  This is the *requested* backend; the driver
-    #: resolves it against availability and falls back to "numpy" with a
-    #: one-time warning (``ParthenonDriver.kernel_backend`` records the
-    #: effective engine).  Ignored outside numeric+packed execution.
+    #: Which engine executes the packed numeric kernels: "numpy"
+    #: (vectorized reference) or "numba" (JIT fused stencils).  This is
+    #: the *requested* backend; without numba installed the driver falls
+    #: back to "numpy" with a one-time warning
+    #: (``ParthenonDriver.kernel_backend`` records the effective engine).
+    #: Ignored outside numeric+packed execution.
     kernel_backend: str = "numpy"
     gpu_spec: GPUSpec = H100_SXM
     cpu_spec: CPUSpec = SAPPHIRE_RAPIDS_8468

@@ -1,31 +1,7 @@
-"""Pluggable numeric kernel engines.
+"""Numeric kernel engines.
 
-``repro.kernels.backends`` generalizes the ``kernel_mode={packed,per_block}``
-switch into a registry of interchangeable packed-execution engines — the
-python analogue of Parthenon selecting a Kokkos backend per platform while
-keeping one source of truth for the physics (Section II-C).
+:mod:`repro.kernels.backends` builds the packed-execution engine a run's
+``kernel_backend`` names — the python analogue of Parthenon selecting a
+Kokkos backend per platform while keeping one source of truth for the
+physics (Section II-C).
 """
-
-from repro.kernels.backends import (
-    BackendUnavailableWarning,
-    KNOWN_BACKENDS,
-    KernelBackend,
-    UnknownBackendError,
-    available_backends,
-    backend_names,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
-
-__all__ = [
-    "BackendUnavailableWarning",
-    "KNOWN_BACKENDS",
-    "KernelBackend",
-    "UnknownBackendError",
-    "available_backends",
-    "backend_names",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-]

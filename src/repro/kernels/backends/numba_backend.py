@@ -12,8 +12,9 @@ processes so steady-state dispatch costs one dict lookup.
 Import is always safe: when numba is missing, ``njit`` degrades to an
 identity decorator and ``prange`` to ``range``, so the loop bodies below
 remain plain Python — the differential tests exercise them (slowly but
-exactly) in numpy-only environments, while :meth:`NumbaBackend.available`
-keeps the registry from selecting the backend for real runs.  (Calling
+exactly) in numpy-only environments, while ``NUMBA_AVAILABLE`` keeps
+:func:`repro.kernels.backends.build_kernels` from selecting the engine
+for real runs.  (Calling
 ``numba.prange`` outside a jitted context returns ``range`` too, so the
 same tests cover the source lines when numba *is* installed.)
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.backends.base import KernelBackend, register_backend
 from repro.kernels.backends.numpy_backend import PackedBurgersKernels
 from repro.solver.burgers import CONSERVED
 from repro.solver.reconstruction import WENO_EPS
@@ -228,16 +228,3 @@ class NumbaBurgersKernels(PackedBurgersKernels):
                 self._use_hll,
             )
 
-
-@register_backend
-class NumbaBackend(KernelBackend):
-    """JIT fused-stencil engine; selectable only when numba imports."""
-
-    name = "numba"
-
-    @classmethod
-    def available(cls) -> bool:
-        return NUMBA_AVAILABLE
-
-    def create_kernels(self, pkg) -> NumbaBurgersKernels:
-        return NumbaBurgersKernels(pkg)

@@ -1,9 +1,8 @@
 """The ``numpy`` reference backend: vectorized whole-pack kernels.
 
-This is the packed execution engine extracted from
-``repro.solver.burgers`` (which re-exports it for compatibility) — one
-reconstruction GEMM, one coefficient-form Riemann evaluation, one
-divergence update for every block at once, with a leading block axis.
+This is the packed execution engine — one reconstruction GEMM, one
+coefficient-form Riemann evaluation, one divergence update for every
+block at once, with a leading block axis.
 Within CalculateFluxes blocks are processed in cache-sized chunks (one
 16^3 block's state already fills L2-scale working sets; batching tiny
 blocks recovers the dispatch amortization that matters at small block
@@ -15,7 +14,7 @@ those stages are bitwise-identical to the per-block loop.  Reconstruction
 and the Riemann solver use algebraically identical but re-associated
 expressions (gemm-fused stencils, coefficient-form HLL), so full-step
 agreement is at rounding level (~1e-15), well inside the parity suite's
-1e-13 tolerance.  Every other backend is measured against *this* engine.
+1e-13 tolerance.  The numba engine is measured against *this* one.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.kernels.backends.base import KernelBackend, register_backend
 from repro.solver.burgers import BASE, CONSERVED, DERIVED
 from repro.solver.reconstruction import FusedWeno5, plm_states_along
 from repro.solver.riemann import HLLScratch, RIEMANN_SOLVERS_FUSED
@@ -202,12 +200,3 @@ class PackedBurgersKernels:
             np.minimum(dt, cand, out=dt)
         return self.pkg.config.cfl * dt
 
-
-@register_backend
-class NumpyBackend(KernelBackend):
-    """Always-available vectorized reference engine."""
-
-    name = "numpy"
-
-    def create_kernels(self, pkg) -> PackedBurgersKernels:
-        return PackedBurgersKernels(pkg)

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.driver.execution import ExecutionConfig, OptimizationFlags
 from repro.driver.params import SimulationParams
-from repro.kernels.backends.base import KNOWN_BACKENDS
+from repro.kernels.backends import KNOWN_BACKENDS
 from repro.mesh.refinement import KNOWN_POLICIES
 from repro.solver.reconstruction import STENCIL_GHOSTS
 from repro.solver.riemann import RIEMANN_SOLVERS
@@ -149,8 +149,8 @@ OPTIONS: Tuple[Option, ...] = (
     Option("kernel_backend", C, str, KNOWN_BACKENDS,
            section="platform", key="kernel_backend", render="non_default",
            flag="--kernel-backend", commands=CONFIGURE + ("trace",),
-           help="engine for packed numeric kernels; unavailable backends "
-           "fall back to numpy with a one-time warning"),
+           help="engine for packed numeric kernels; numba falls back to "
+           "numpy with a one-time warning when it is not installed"),
     Option("num_nodes", C, int, section="platform", key="num_nodes",
            flag="--nodes", commands=CONFIGURE),
     Option("num_gpus", C, int, section="platform", key="num_gpus",

@@ -207,24 +207,3 @@ class BurgersPackage:
         per_face = FLOPS_PER_FACE[self.config.reconstruction] + 20  # + HLL
         return per_face * self.ncomp * self.ndim
 
-
-# --------------------------------------------------------------------------
-# Packed execution engine (kernel_mode = "packed")
-#
-# The whole-pack kernels (one fused launch per MeshBlockPack — the paper's
-# Section II-C amortization) now live in the backend registry as the
-# ``numpy`` reference engine: :mod:`repro.kernels.backends.numpy_backend`.
-# The historical names are re-exported lazily (PEP 562) so existing imports
-# — ``from repro.solver.burgers import PackedBurgersKernels`` — keep
-# working without creating an import cycle between the solver and the
-# backend packages.
-
-_PACKED_EXPORTS = ("PackedBurgersKernels", "_FluxScratch", "PACK_CHUNK_CELLS")
-
-
-def __getattr__(name: str):
-    if name in _PACKED_EXPORTS:
-        from repro.kernels.backends import numpy_backend
-
-        return getattr(numpy_backend, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

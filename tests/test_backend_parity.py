@@ -1,23 +1,21 @@
-"""Cross-backend differential harness (ISSUE 6 tentpole gate).
+"""Cross-backend differential harness.
 
-Every registered kernel backend must reproduce the ``numpy`` reference
-engine on the packed Burgers path:
+The ``numba`` engine must reproduce the ``numpy`` reference engine on
+the packed Burgers path:
 
 * full-driver state parity at ``atol = 1e-13`` — conserved state,
   derived field, face fluxes and history reductions after several
   cycles, on a smooth (Gaussian blob) and a shock (Riemann) deck, in
   both kernel modes (per_block runs never touch the backend, so its
   result must be backend-independent *exactly*);
-* flux-stage parity of each engine against the reference engine on one
-  shared pack, across all four reconstruction x Riemann combinations;
+* flux-stage parity of the numba engine against the reference engine on
+  one shared pack, across all four reconstruction x Riemann combinations;
 * 0-ULP golden-trace invariance: the canonical trace of a numeric run
   is byte-identical across backends apart from the ``kernel_backend``
   metadata field.
 
-Backends whose runtime dependency is missing are exercised through
-their pure-Python/host code paths (the numba loop bodies run unjitted;
-the cupy engine runs with ``xp=numpy``), so this file tests the real
-algebra of every backend even on a numpy-only machine; the CI
+Without numba installed the numba loop bodies run unjitted, so this file
+tests the engine's real algebra even on a numpy-only machine; the CI
 backend-matrix job repeats it with numba actually installed.
 """
 
@@ -33,9 +31,9 @@ from repro.comm.bvals import BoundaryExchange
 from repro.comm.mpi import SimMPI
 from repro.driver.driver import ParthenonDriver
 from repro.driver.params import SimulationParams
-from repro.kernels.backends import available_backends, backend_names
-from repro.kernels.backends.cupy_backend import CupyBurgersKernels, flux_stage_xp
+from repro.kernels.backends import KNOWN_BACKENDS
 from repro.kernels.backends.numba_backend import (
+    NUMBA_AVAILABLE,
     NumbaBurgersKernels,
     _flux_sweep_pack,
 )
@@ -57,6 +55,11 @@ DECKS = {
     ),
     "shock": lambda mesh, pkg: shock_tube(mesh, pkg),
 }
+
+
+def effective(backend):
+    """The engine a request for ``backend`` runs on this host."""
+    return "numba" if backend == "numba" and NUMBA_AVAILABLE else "numpy"
 
 
 # ------------------------------------------------------------ driver level
@@ -105,25 +108,23 @@ def assert_driver_parity(da, db):
 
 
 @pytest.mark.parametrize("deck", sorted(DECKS))
-@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("backend", KNOWN_BACKENDS)
 def test_driver_parity_vs_numpy(backend, deck):
-    """Every registered backend matches the reference run at 1e-13.
+    """Every backend matches the reference run at 1e-13.
 
-    Unavailable backends resolve to the numpy fallback, making this a
-    (still meaningful) fallback-equivalence check; with the dependency
+    Without numba installed a numba request falls back to numpy, making
+    this a (still meaningful) fallback-equivalence check; with numba
     installed (CI backend-matrix) it is the real cross-engine gate.
     """
     db = run_driver(backend, deck)
     da = run_driver("numpy", deck)
-    assert db.kernel_backend == (
-        backend if backend in available_backends() else "numpy"
-    )
+    assert db.kernel_backend == effective(backend)
     assert_driver_parity(da, db)
 
 
-@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("backend", KNOWN_BACKENDS)
 def test_per_block_mode_ignores_backend(backend):
-    """kernel_mode=per_block never dispatches through the registry, so
+    """kernel_mode=per_block never builds a packed engine, so
     its state must be *bitwise* independent of the requested backend."""
     da = run_driver("numpy", "smooth", kernel_mode="per_block")
     db = run_driver(backend, "smooth", kernel_mode="per_block")
@@ -174,8 +175,6 @@ def reference_fluxes(pkg, pack):
 ENGINES = {
     # Pure-Python numba bodies (or the JIT when numba is installed).
     "numba": lambda pkg: NumbaBurgersKernels(pkg),
-    # The cupy device code path executed in the numpy namespace.
-    "cupy": lambda pkg: CupyBurgersKernels(pkg, xp=np),
 }
 
 
@@ -265,27 +264,6 @@ def test_flux_sweep_matches_textbook_reference():
                     )
 
 
-def test_flux_stage_xp_matches_textbook_reference():
-    """The xp-generic (cupy) flux stage against the textbook kernels."""
-    rng = np.random.default_rng(11)
-    ng, nxa, ncomp, nvel = 4, 6, 5, 3
-    w = rng.normal(size=(3, ncomp, 2, 2, nxa + 2 * ng))
-    for use_weno in (True, False):
-        for use_hll, solver in ((True, "hll"), (False, "llf")):
-            fx = flux_stage_xp(np, w, ng, nxa, 1, nvel, use_weno, use_hll)
-            scheme = "weno5" if use_weno else "plm"
-            for b in range(w.shape[0]):
-                ql, qr = face_states(
-                    w[b], 3, ng, nxa, scheme=scheme
-                )
-                expected = RIEMANN_SOLVERS[solver](
-                    ql, qr, direction=1, nvel=nvel
-                )
-                np.testing.assert_allclose(
-                    fx[b], expected, atol=ATOL, rtol=0
-                )
-
-
 # ----------------------------------------------------- golden invariance
 
 
@@ -307,7 +285,7 @@ def numeric_canonical(kernel_backend: str) -> str:
     return to_canonical_json(sim.trace())
 
 
-@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("backend", KNOWN_BACKENDS)
 def test_golden_trace_invariance(backend):
     """Canonical traces are byte-identical across backends apart from the
     backend-identity metadata field (0 ULP on every simulated quantity)."""
@@ -315,10 +293,7 @@ def test_golden_trace_invariance(backend):
     alt = numeric_canonical(backend)
     doc_base = json.loads(base)
     doc_alt = json.loads(alt)
-    effective = (
-        backend if backend in available_backends() else "numpy"
-    )
-    assert doc_alt["meta"].pop("kernel_backend") == effective
+    assert doc_alt["meta"].pop("kernel_backend") == effective(backend)
     assert doc_base["meta"].pop("kernel_backend") == "numpy"
     canon = lambda d: json.dumps(d, sort_keys=True, indent=2)
     assert canon(doc_alt) == canon(doc_base)
@@ -331,12 +306,11 @@ def test_requested_vs_effective_in_artifact():
         params=SimulationParams(
             ndim=2, mesh_size=16, block_size=8, num_levels=1, num_scalars=1
         ),
-        config=build_execution_config(mode="numeric", kernel_backend="cupy"),
+        config=build_execution_config(mode="numeric", kernel_backend="numba"),
         ncycles=1,
         warmup=0,
     )
     sim = Simulation(spec, initial_conditions=DECKS["smooth"])
     art = sim.artifact()
-    assert art["config"]["kernel_backend"] == "cupy"
-    expected = "cupy" if "cupy" in available_backends() else "numpy"
-    assert art["kernel_backend"] == expected
+    assert art["config"]["kernel_backend"] == "numba"
+    assert art["kernel_backend"] == effective("numba")

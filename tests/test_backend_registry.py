@@ -1,14 +1,15 @@
-"""Property tests for the kernel-backend registry (ISSUE 6 satellites).
+"""Kernel-backend selection: the engine factory and the config layer.
 
-Hypothesis-driven contracts:
+Contracts:
 
-* selection is deterministic — the same name always resolves to the same
-  singleton engine instance;
-* unknown names raise :class:`UnknownBackendError` with a did-you-mean
-  suggestion, matching the ``repro.api`` builder convention;
-* falling back to numpy never changes the simulated ``RunResult`` bytes
-  (only the requested-backend field in the config differs);
-* the unavailable-backend warning fires exactly once per process.
+* :func:`build_kernels` is deterministic — the same name always builds
+  the same engine type and reports the same effective name;
+* names outside :data:`KNOWN_BACKENDS` (``cupy`` included) are rejected
+  as :class:`ConfigError` by every way a run is configured — builder,
+  deck, JSON spec, CLI flag — naming the valid choices;
+* falling back from numba to numpy never changes the simulated
+  ``RunResult`` bytes (only the requested-backend field in the config
+  differs), and the fallback warning fires exactly once per process.
 
 Plus the config-threading contracts: ExecutionConfig validation, deck
 round-trips that keep old decks byte-identical, cache-key sensitivity
@@ -24,42 +25,65 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import ConfigError, RunSpec, build_execution_config
+from repro.cli import main
 from repro.driver.driver import ParthenonDriver
 from repro.driver.execution import ExecutionConfig
 from repro.driver.input import params_from_input, render_input
 from repro.driver.params import SimulationParams
 from repro.kernels.backends import (
     BackendUnavailableWarning,
-    FALLBACK_BACKEND,
     KNOWN_BACKENDS,
-    UnknownBackendError,
-    available_backends,
-    backend_names,
-    get_backend,
-    reset_unavailable_warnings,
-    resolve_backend,
+    build_kernels,
 )
+from repro.kernels.backends.numba_backend import (
+    NUMBA_AVAILABLE,
+    NumbaBurgersKernels,
+)
+from repro.kernels.backends.numpy_backend import PackedBurgersKernels
+from repro.solver.burgers import BurgersPackage
 from repro.solver.initial_conditions import gaussian_blob
 
+VALID = "numpy, numba"
 
-# ------------------------------------------------------------- registry
+
+def effective(name):
+    """The engine a request for ``name`` runs on this host."""
+    return "numba" if name == "numba" and NUMBA_AVAILABLE else "numpy"
+
+
+def make_pkg():
+    params = SimulationParams(ndim=2, mesh_size=16, block_size=8)
+    return BurgersPackage(params.ndim, params.burgers_config())
+
+
+# -------------------------------------------------------------- factory
 
 
 def test_known_backends_all_registered():
-    assert backend_names() == list(KNOWN_BACKENDS)
-    assert FALLBACK_BACKEND in available_backends()
+    """Exactly numpy and numba are valid, and each builds an engine."""
+    assert KNOWN_BACKENDS == ("numpy", "numba")
+    pkg = make_pkg()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BackendUnavailableWarning)
+        for name in KNOWN_BACKENDS:
+            engine, built = build_kernels(name, pkg)
+            assert built == effective(name)
+            assert isinstance(engine, PackedBurgersKernels)
+            assert engine.pkg is pkg
 
 
 @given(name=st.sampled_from(KNOWN_BACKENDS))
 def test_selection_is_deterministic(name):
-    """Same name -> same singleton, across repeated lookups."""
-    assert get_backend(name) is get_backend(name)
-    assert resolve_backend(name) is resolve_backend(name)
-    resolved = resolve_backend(name)
-    if name in available_backends():
-        assert resolved is get_backend(name)
-    else:
-        assert resolved is get_backend(FALLBACK_BACKEND)
+    """Same name -> same engine type and effective name, every call."""
+    pkg = make_pkg()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BackendUnavailableWarning)
+        a, name_a = build_kernels(name, pkg)
+        b, name_b = build_kernels(name, pkg)
+    assert name_a == name_b == effective(name)
+    assert a is not b  # one engine (and its scratch) per driver
+    engines = {"numpy": PackedBurgersKernels, "numba": NumbaBurgersKernels}
+    assert type(a) is type(b) is engines[effective(name)]
 
 
 @given(
@@ -68,55 +92,90 @@ def test_selection_is_deterministic(name):
     )
 )
 def test_unknown_names_raise_with_choices(name):
-    with pytest.raises(UnknownBackendError) as err:
-        get_backend(name)
-    for known in KNOWN_BACKENDS:
-        assert known in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        build_execution_config(kernel_backend=name)
+    assert VALID in str(err.value)
 
 
 @pytest.mark.parametrize(
-    "typo, suggestion",
-    [("numpa", "numpy"), ("cuppy", "cupy"), ("nmba", "numba")],
+    "typo, suggestion", [("numpa", "numpy"), ("nmba", "numba")]
 )
 def test_did_you_mean_suggestion(typo, suggestion):
-    with pytest.raises(UnknownBackendError, match=suggestion):
-        get_backend(typo)
+    with pytest.raises(ConfigError, match=f"did you mean '{suggestion}'"):
+        build_execution_config(kernel_backend=typo)
 
 
 def test_unknown_backend_error_is_value_error():
     """Callers that guard on ValueError keep working."""
     with pytest.raises(ValueError):
-        get_backend("fortran")
+        build_execution_config(kernel_backend="fortran")
+
+
+# ------------------------------------------------------- cupy is gone
+
+
+def test_builder_rejects_cupy():
+    with pytest.raises(ConfigError, match=VALID):
+        build_execution_config(kernel_backend="cupy")
+
+
+def test_deck_rejects_cupy():
+    deck = render_input(
+        SimulationParams(), ExecutionConfig(kernel_backend="numba")
+    ).replace("kernel_backend = numba", "kernel_backend = cupy")
+    assert "kernel_backend = cupy" in deck
+    with pytest.raises(ConfigError, match=VALID):
+        params_from_input(deck)
+    with pytest.raises(ConfigError, match=VALID):
+        RunSpec.from_deck(deck)
+
+
+def test_json_spec_rejects_cupy():
+    doc = RunSpec(config=build_execution_config(mode="numeric")).to_json()
+    doc["config"]["kernel_backend"] = "cupy"
+    with pytest.raises(ConfigError, match=VALID):
+        RunSpec.from_json(doc)
+
+
+def test_cli_flag_rejects_cupy(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["characterize", "--mode", "numeric", "--kernel-backend", "cupy"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cupy" in err
+    assert "numpy" in err and "numba" in err
 
 
 # ------------------------------------------------------- warning policy
 
 
 @pytest.fixture
-def fresh_warning_state():
-    reset_unavailable_warnings()
-    yield
-    reset_unavailable_warnings()
+def fresh_warning_state(monkeypatch):
+    from repro.kernels import backends
+
+    monkeypatch.setattr(backends, "_warned", False)
 
 
-def test_unavailable_warning_fires_exactly_once(fresh_warning_state):
-    unavailable = [n for n in KNOWN_BACKENDS if n not in available_backends()]
-    if not unavailable:  # full-dependency environment (GPU CI)
-        pytest.skip("every known backend is importable here")
-    name = unavailable[0]
+def test_unavailable_warning_fires_exactly_once(
+    fresh_warning_state, monkeypatch
+):
+    if NUMBA_AVAILABLE:  # full-dependency environment
+        pytest.skip("numba is importable here")
+    from repro.kernels import backends
+
+    pkg = make_pkg()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        resolve_backend(name)
-        resolve_backend(name)  # second resolve must stay silent
-        resolve_backend(name)
+        for _ in range(3):  # later builds must stay silent
+            assert build_kernels("numba", pkg)[1] == "numpy"
     ours = [w for w in caught if w.category is BackendUnavailableWarning]
     assert len(ours) == 1
-    assert name in str(ours[0].message)
-    # reset_unavailable_warnings() re-arms it (process-lifetime state).
-    reset_unavailable_warnings()
+    assert "numba" in str(ours[0].message)
+    # The once-per-process state re-arms only with a fresh process.
+    monkeypatch.setattr(backends, "_warned", False)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        resolve_backend(name)
+        build_kernels("numba", pkg)
     assert sum(
         w.category is BackendUnavailableWarning for w in caught
     ) == 1
@@ -125,7 +184,9 @@ def test_unavailable_warning_fires_exactly_once(fresh_warning_state):
 def test_available_backend_resolves_silently(fresh_warning_state):
     with warnings.catch_warnings():
         warnings.simplefilter("error", BackendUnavailableWarning)
-        assert resolve_backend("numpy").name == "numpy"
+        engine, name = build_kernels("numpy", make_pkg())
+    assert name == "numpy"
+    assert type(engine) is PackedBurgersKernels
 
 
 # ------------------------------------------------- fallback result bytes
@@ -155,18 +216,17 @@ def fallback_result(kernel_backend):
 
 
 def test_fallback_never_changes_run_result_bytes():
-    """Requesting an unavailable backend falls back to numpy and yields a
-    RunResult that is byte-identical to the numpy run, apart from the
-    *requested* backend recorded in the config."""
-    unavailable = [n for n in KNOWN_BACKENDS if n not in available_backends()]
-    if not unavailable:
-        pytest.skip("every known backend is importable here")
+    """Requesting numba without numba installed falls back to numpy and
+    yields a RunResult that is byte-identical to the numpy run, apart
+    from the *requested* backend recorded in the config."""
+    if NUMBA_AVAILABLE:
+        pytest.skip("numba is importable here")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BackendUnavailableWarning)
-        res_fb = fallback_result(unavailable[0])
+        res_fb = fallback_result("numba")
     res_np = fallback_result("numpy")
     assert res_fb.kernel_backend == "numpy"  # effective engine
-    assert res_fb.config.kernel_backend == unavailable[0]  # the request
+    assert res_fb.config.kernel_backend == "numba"  # the request
     normalized = dataclasses.replace(
         res_fb, config=dataclasses.replace(res_fb.config, kernel_backend="numpy")
     )
@@ -236,13 +296,12 @@ def test_cache_key_differs_by_backend():
 
 
 def test_modeled_runs_never_resolve_backends(fresh_warning_state):
-    """Modeled (cost-model) runs have no numeric kernels: requesting any
-    backend is recorded but never resolved — no warning, effective numpy."""
-    unavailable = [n for n in KNOWN_BACKENDS if n not in available_backends()]
-    name = unavailable[0] if unavailable else "numba"
-    cfg = ExecutionConfig(mode="modeled", kernel_backend=name)
+    """Modeled (cost-model) runs have no numeric kernels: requesting numba
+    is recorded but never resolved — no warning, effective numpy."""
+    cfg = ExecutionConfig(mode="modeled", kernel_backend="numba")
     with warnings.catch_warnings():
         warnings.simplefilter("error", BackendUnavailableWarning)
         driver = ParthenonDriver(SimulationParams(), cfg)
         driver.run(2)
     assert driver.kernel_backend == "numpy"
+    assert driver._packed is None

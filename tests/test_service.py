@@ -324,6 +324,18 @@ class TestServiceEndToEnd:
             resp = client.request("POST", "/runs", doc=None)
             assert resp.status == 400
 
+    def test_cupy_kernel_backend_is_400(self, tmp_path):
+        """cupy is no longer a kernel backend: refused at submission,
+        naming the valid choices."""
+        doc = spec_for().to_json()
+        doc["config"]["kernel_backend"] = "cupy"
+        with ServerThread(tmp_path, workers=1) as client:
+            resp = client.submit(doc)
+            assert resp.status == 400
+            assert resp.json["error"] == "invalid_spec"
+            assert "numpy, numba" in resp.json["message"]
+            assert not any(client.stats().json["queue"].values())
+
     def test_geometry_the_mesh_rejects_is_400(self, tmp_path):
         """A shape the mesh cannot build is refused at submission, not
         queued to fail in the driver."""
@@ -434,6 +446,23 @@ class TestServiceEndToEnd:
             resp = client.result(job.key)
             assert resp.status == 409
             assert resp.json["error"] == "no_result"
+
+    def test_journaled_cupy_job_becomes_error(self, tmp_path):
+        """A job journaled with ``kernel_backend = cupy`` no longer
+        validates and settles as ``error`` naming the valid choices."""
+        q = JobQueue(tmp_path)
+        job, _ = q.submit(spec_for())
+        job.deck = job.deck.replace(
+            "<platform>\n", "<platform>\nkernel_backend = cupy\n"
+        )
+        assert "kernel_backend = cupy" in job.deck
+        q._persist()
+        del q
+        with ServerThread(tmp_path, workers=1) as client:
+            status = client.wait(job.key)
+            assert status.json["status"] == "error"
+            assert "ConfigError" in status.json["error"]
+            assert "numpy, numba" in status.json["error"]
 
     def test_healthz_and_stats(self, tmp_path):
         with ServerThread(tmp_path, workers=1) as client:
